@@ -184,9 +184,12 @@ impl Outcome {
     }
 }
 
-/// Set up `times` times, keeping the last set-up; returns it with the
-/// median set-up time.
-fn repeat_setup<T>(times: usize, mut setup: impl FnMut() -> io::Result<T>) -> io::Result<(T, f64)> {
+/// Set up `times` times, keeping the last set-up; returns it with each
+/// set-up's time in seconds.
+fn repeat_setup<T>(
+    times: usize,
+    mut setup: impl FnMut() -> io::Result<T>,
+) -> io::Result<(T, Vec<f64>)> {
     let mut kept = None;
     let mut seconds = Vec::new();
     for _ in 0..times.max(1) {
@@ -197,7 +200,25 @@ fn repeat_setup<T>(times: usize, mut setup: impl FnMut() -> io::Result<T>) -> io
         seconds.push(start.elapsed().as_secs_f64());
         kept = Some(value);
     }
-    Ok((kept.expect("at least one set-up"), median(&seconds)))
+    Ok((kept.expect("at least one set-up"), seconds))
+}
+
+/// Set up `times` more times, stopping each at once; returns each set-up's
+/// time in seconds.
+///
+/// A measured run sets up half its `setups` times before the window (the
+/// last one serves the run) and the rest after it, so their median samples
+/// the host on both sides of the window.
+fn setups_after<T>(times: usize, mut setup: impl FnMut() -> io::Result<T>) -> io::Result<Vec<f64>> {
+    (0..times)
+        .map(|_| {
+            let start = Instant::now();
+            let value = setup()?;
+            let seconds = start.elapsed().as_secs_f64();
+            drop(value);
+            Ok(seconds)
+        })
+        .collect()
 }
 
 fn spawn_ready(bin: &std::path::Path, args: &[String]) -> io::Result<Proc> {
@@ -213,7 +234,8 @@ fn thread_result<T>(handle: std::thread::ScopedJoinHandle<'_, io::Result<T>>) ->
 /// `cold_mix`: closed loop, round-trip connections, every request a fresh
 /// cold decision.
 pub fn cold_mix(bins: &Bins, seed: u64, budget: Budget, setups: usize) -> io::Result<Outcome> {
-    let (server, setup_s) = repeat_setup(setups, || spawn_ready(&bins.serve, &[]))?;
+    let start_server = || spawn_ready(&bins.serve, &[]);
+    let (server, mut setup_times) = repeat_setup(setups.div_ceil(2), start_server)?;
     let cap = budget
         .max_requests
         .unwrap_or((budget.seconds * 400.0) as usize + 64);
@@ -251,12 +273,13 @@ pub fn cold_mix(bins: &Bins, seed: u64, budget: Budget, setups: usize) -> io::Re
     })?;
     let after = stats(&server.addr)?;
     let mut out = Outcome {
-        setup_s,
         rss_mb: server.peak_rss_mb(),
         server: ServerDelta::between(&before, &after),
         ..Outcome::default()
     };
     drop(server);
+    setup_times.extend(setups_after(setups / 2, start_server)?);
+    out.setup_s = median(&setup_times);
     let mut end = start;
     for (i, ms, response, at) in per_thread.into_iter().flatten() {
         end = end.max(at);
@@ -498,7 +521,7 @@ pub fn warm(
 ) -> io::Result<Outcome> {
     let warm = WarmStream::new(seed);
     let mut warm_problems = Vec::new();
-    let ((fleet, tails), setup_s) = repeat_setup(setups, || {
+    let ((fleet, tails), mut setup_times) = repeat_setup(setups.div_ceil(2), || {
         warm_problems.clear();
         let fleet = Fleet::start(bins, routed)?;
         let tails = warm_up(&fleet, &warm, &mut warm_problems)?;
@@ -588,7 +611,6 @@ pub fn warm(
     // A wrong warm-up answer is the reference every measured response is
     // compared with, so it counts as a wrong answer of the run.
     let mut out = Outcome {
-        setup_s,
         rss_mb: fleet.rss_mb(),
         wrong: warm_problems.len() as u64,
         problems: warm_problems,
@@ -606,6 +628,15 @@ pub fn warm(
             .collect();
     }
     drop(fleet);
+    let mut late_problems = Vec::new();
+    setup_times.extend(setups_after(setups / 2, || {
+        let fleet = Fleet::start(bins, routed)?;
+        warm_up(&fleet, &warm, &mut late_problems)?;
+        Ok(fleet)
+    })?);
+    out.setup_s = median(&setup_times);
+    out.wrong += late_problems.len() as u64;
+    out.problems.extend(late_problems);
     let mut end = start;
     for r in results {
         end = end.max(r.end);
@@ -695,13 +726,13 @@ const MIXED_CACHE_CAP: usize = 1024;
 /// `mixed_open`: open loop on one connection, arrivals on the workload
 /// generator's burst/lull schedule; latency counts from each request's due
 /// time.
-pub fn mixed_open(bins: &Bins, seed: u64, budget: Budget, setups: usize) -> io::Result<Outcome> {
+pub fn mixed_open(bins: &Bins, seed: u64, budget: Budget) -> io::Result<Outcome> {
     let stream = stream::mixed_open(seed, budget.seconds);
     let caps: Vec<String> = MIXED_CACHE_CAPS
         .iter()
         .flat_map(|flag| [flag.to_string(), MIXED_CACHE_CAP.to_string()])
         .collect();
-    let (server, setup_s) = repeat_setup(setups, || spawn_ready(&bins.serve, &caps))?;
+    let (server, setup_times) = repeat_setup(1, || spawn_ready(&bins.serve, &caps))?;
     let before = stats(&server.addr)?;
     let mut conn = Conn::connect(&server.addr)?;
     let mut writer = conn.writer()?;
@@ -754,7 +785,7 @@ pub fn mixed_open(bins: &Bins, seed: u64, budget: Budget, setups: usize) -> io::
     })?;
     let after = stats(&server.addr)?;
     let mut out = Outcome {
-        setup_s,
+        setup_s: median(&setup_times),
         rss_mb: server.peak_rss_mb(),
         server: ServerDelta::between(&before, &after),
         lag_ms: lags,

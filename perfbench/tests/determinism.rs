@@ -40,7 +40,6 @@ fn every_warm_line_has_a_unique_id() {
 fn traced_counts() -> Vec<(String, String)> {
     let output = Command::new(env!("CARGO_BIN_EXE_perfbench"))
         .args(["--pass-only", "--seed", "5"])
-        .args(["--cold-requests", "7", "--warm-requests", "200"])
         .output()
         .expect("the benchmark binary runs");
     assert!(

@@ -62,7 +62,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::time::Instant;
 
-use metrics::{Event, FieldValue, GlobalSink, MetricsLevel, MetricsSink};
+use metrics::{Event, FieldValue, MetricsLevel, MetricsSink, NoMetrics};
 
 use super::emptiness::is_empty;
 use super::ops::{complement, intersection, BottomUpDeterministic};
@@ -459,13 +459,15 @@ pub fn contained_in_with<L: Ord + Clone>(
     b: &TreeAutomaton<L>,
     options: ContainmentOptions,
 ) -> TreeContainment<L> {
-    contained_in_with_sink(a, b, options, &mut GlobalSink)
+    contained_in_with_sink(a, b, options, &mut NoMetrics)
 }
 
 /// [`contained_in_with`], emitting structured events into `sink`.
 ///
-/// At [`MetricsLevel::Counters`] one `containment` summary event (the
-/// [`EngineStats`] counters plus the verdict) is emitted per run;
+/// Whatever the sink, every completed run is recorded in the
+/// [`metrics::global`] registry.  At [`MetricsLevel::Counters`] one
+/// `containment` summary event (the [`EngineStats`] counters plus the
+/// verdict) is emitted per run;
 /// [`MetricsLevel::Debug`] adds `phase` timings for preparation and
 /// saturation; [`MetricsLevel::Trace`] adds one `pop` event per worklist pop
 /// (subset size, antichain admission, dominated kills) and one `propagate`
@@ -486,8 +488,15 @@ pub fn contained_in_with_sink<L: Ord + Clone, S: MetricsSink>(
     if let Some(start) = phase_start {
         emit_phase(sink, "total", start);
     }
+    let stats = result.stats();
+    metrics::global::record_containment(
+        stats.pairs,
+        stats.propagate_hits,
+        stats.propagate_misses,
+        stats.pairs_dominated,
+        stats.pops_skipped_dead,
+    );
     if sink.level() >= MetricsLevel::Counters {
-        let stats = result.stats();
         sink.emit(Event::new(
             "containment",
             vec![
@@ -531,7 +540,7 @@ pub fn contained_in_with_trace<L: Ord + Clone>(
     options: ContainmentOptions,
 ) -> (TreeContainment<L>, Vec<FrontierPop>) {
     let mut trace = Vec::new();
-    let result = contained_in_scheduled(a, b, options, Some(&mut trace), &mut GlobalSink);
+    let result = contained_in_scheduled(a, b, options, Some(&mut trace), &mut NoMetrics);
     (result, trace)
 }
 

@@ -28,7 +28,7 @@ use datalog::database::Database;
 use datalog::eval::Strategy;
 use datalog::program::Program;
 use datalog::term::Constant;
-use metrics::{Event, FieldValue, GlobalSink, MetricsLevel, MetricsSink, RecordingSink};
+use metrics::{Event, FieldValue, MetricsLevel, MetricsSink, NoMetrics, RecordingSink};
 
 use crate::cq_automaton::CqAutomaton;
 use crate::labels::ProofLabel;
@@ -243,7 +243,7 @@ pub fn datalog_contained_in_ucq_in(
         ucq,
         options,
         Schedule::MinSubset,
-        &mut GlobalSink,
+        &mut NoMetrics,
     )
 }
 
@@ -346,7 +346,8 @@ pub fn datalog_contained_in_ucq_traced(
 }
 
 /// The shared cached path: validation, cache consultation, and the
-/// `Counters`-level `decision` span event around [`decide_uncached`].
+/// registry record plus `Counters`-level `decision` span event around
+/// [`decide_uncached`].
 fn decide_with_sink<S: MetricsSink>(
     cache: &crate::cache::DecisionCache,
     program: &Program,
@@ -369,34 +370,34 @@ fn decide_with_sink<S: MetricsSink>(
         }
         let key = crate::cache::DecisionKey::new(program, goal, ucq, options);
         if let Some(result) = cache.lookup_decision(&key) {
-            emit_decision(sink, &result, true, options, start);
+            finish_decision(sink, &result, true, options, start);
             return Ok(result);
         }
         let result = decide_uncached(program, goal, ucq, options, schedule, sink)?;
         cache.store_decision(key, &result);
-        emit_decision(sink, &result, false, options, start);
+        finish_decision(sink, &result, false, options, start);
         return Ok(result);
     }
     let result = decide_uncached(program, goal, ucq, options, schedule, sink)?;
-    emit_decision(sink, &result, false, options, start);
+    finish_decision(sink, &result, false, options, start);
     Ok(result)
 }
 
-/// Emit the `decision` span event closing a containment decision.
-fn emit_decision<S: MetricsSink>(
+/// Record a completed decision in the registry and, at
+/// [`MetricsLevel::Counters`] and above, emit its `decision` span event.
+fn finish_decision<S: MetricsSink>(
     sink: &mut S,
     result: &ContainmentResult,
     cache_hit: bool,
     options: DecisionOptions,
     start: Option<Instant>,
 ) {
+    let word_path = result.stats.path == DecisionPath::WordAutomata;
+    metrics::global::record_decision(cache_hit, word_path);
     if sink.level() < MetricsLevel::Counters {
         return;
     }
-    let path = match result.stats.path {
-        DecisionPath::WordAutomata => "word",
-        DecisionPath::TreeAutomata => "tree",
-    };
+    let path = if word_path { "word" } else { "tree" };
     let mut fields = vec![
         ("cache_hit", FieldValue::Flag(cache_hit)),
         ("contained", FieldValue::Flag(result.contained)),
@@ -504,15 +505,6 @@ fn decide_uncached<S: MetricsSink>(
             micros: start.elapsed().as_micros(),
         },
     })
-}
-
-/// Decide `Π(goal) ⊆ θ` for a single conjunctive query (Corollary 5.7).
-pub fn datalog_contained_in_cq(
-    program: &Program,
-    goal: Pred,
-    theta: &ConjunctiveQuery,
-) -> Result<ContainmentResult, DecisionError> {
-    datalog_contained_in_ucq(program, goal, &Ucq::singleton(theta.clone()))
 }
 
 /// Does every rule of the program have at most one IDB body atom?  For such

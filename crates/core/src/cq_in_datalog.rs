@@ -12,10 +12,10 @@
 //! Every check goes through [`datalog::eval::evaluate_goal_with`], which
 //! under [`Strategy::Magic`] adorns the program on that pattern and runs the
 //! magic-set rewrite so the fixpoint derives only goal-relevant facts.  The
-//! verdict is strategy-independent; each call is tallied per strategy (see
-//! [`strategy_decision_counts`]) so serve-side adoption is observable.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! verdict is strategy-independent; each evaluated check is tallied per
+//! strategy in the [`metrics::global`] registry (the `strategy_*` counters;
+//! a cached verdict re-used by [`cq_contained_in_datalog_keyed`] runs no
+//! evaluation and counts nothing) so serve-side adoption is observable.
 
 use cq::canonical::canonical_database;
 use cq::{ConjunctiveQuery, Ucq};
@@ -23,92 +23,7 @@ use datalog::atom::{Atom, Pred};
 use datalog::eval::{evaluate_goal_with, EvalOptions, Strategy};
 use datalog::program::Program;
 use datalog::term::Term;
-
-/// Process-wide tallies of canonical-database decisions served per strategy.
-static NAIVE_DECISIONS: AtomicU64 = AtomicU64::new(0);
-static SEMI_NAIVE_DECISIONS: AtomicU64 = AtomicU64::new(0);
-static INDEXED_DECISIONS: AtomicU64 = AtomicU64::new(0);
-static MAGIC_DECISIONS: AtomicU64 = AtomicU64::new(0);
-static AUTO_MAGIC_DECISIONS: AtomicU64 = AtomicU64::new(0);
-static AUTO_INDEXED_DECISIONS: AtomicU64 = AtomicU64::new(0);
-
-/// How many canonical-database decisions each evaluation strategy has served
-/// in this process (cache misses only — a cached verdict re-used by
-/// [`cq_contained_in_datalog_keyed`] runs no evaluation and counts nothing).
-///
-/// [`Strategy::Auto`] decisions are tallied separately from explicit
-/// magic/indexed requests, split by what the planner resolved them to, so a
-/// routed deployment can see both that the heuristic is in use and which
-/// way it is deciding.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StrategyCounts {
-    /// Decisions evaluated with [`Strategy::Naive`].
-    pub naive: u64,
-    /// Decisions evaluated with [`Strategy::SemiNaive`].
-    pub semi_naive: u64,
-    /// Decisions evaluated with an explicitly requested
-    /// [`Strategy::Indexed`].
-    pub indexed: u64,
-    /// Decisions evaluated with an explicitly requested
-    /// [`Strategy::Magic`].
-    pub magic: u64,
-    /// [`Strategy::Auto`] decisions the planner resolved to magic.
-    pub auto_magic: u64,
-    /// [`Strategy::Auto`] decisions the planner resolved to indexed.
-    pub auto_indexed: u64,
-}
-
-impl StrategyCounts {
-    /// Total decisions across all strategies.
-    pub fn total(&self) -> u64 {
-        self.naive
-            + self.semi_naive
-            + self.indexed
-            + self.magic
-            + self.auto_magic
-            + self.auto_indexed
-    }
-
-    /// Component-wise difference `self - earlier`, for reporting the
-    /// decisions attributable to a bounded span of work (an optimisation
-    /// pass, a server request).  Saturates at zero.
-    pub fn since(&self, earlier: &StrategyCounts) -> StrategyCounts {
-        StrategyCounts {
-            naive: self.naive.saturating_sub(earlier.naive),
-            semi_naive: self.semi_naive.saturating_sub(earlier.semi_naive),
-            indexed: self.indexed.saturating_sub(earlier.indexed),
-            magic: self.magic.saturating_sub(earlier.magic),
-            auto_magic: self.auto_magic.saturating_sub(earlier.auto_magic),
-            auto_indexed: self.auto_indexed.saturating_sub(earlier.auto_indexed),
-        }
-    }
-}
-
-/// Snapshot the per-strategy decision counters.
-pub fn strategy_decision_counts() -> StrategyCounts {
-    StrategyCounts {
-        naive: NAIVE_DECISIONS.load(Ordering::Relaxed),
-        semi_naive: SEMI_NAIVE_DECISIONS.load(Ordering::Relaxed),
-        indexed: INDEXED_DECISIONS.load(Ordering::Relaxed),
-        magic: MAGIC_DECISIONS.load(Ordering::Relaxed),
-        auto_magic: AUTO_MAGIC_DECISIONS.load(Ordering::Relaxed),
-        auto_indexed: AUTO_INDEXED_DECISIONS.load(Ordering::Relaxed),
-    }
-}
-
-/// Tally one decision under the strategy the caller *requested*; auto
-/// decisions carry the strategy the planner resolved them to.
-fn record_decision(requested: Strategy, resolved: Strategy) {
-    let counter = match (requested, resolved) {
-        (Strategy::Auto, Strategy::Magic) => &AUTO_MAGIC_DECISIONS,
-        (Strategy::Auto, _) => &AUTO_INDEXED_DECISIONS,
-        (Strategy::Naive, _) => &NAIVE_DECISIONS,
-        (Strategy::SemiNaive, _) => &SEMI_NAIVE_DECISIONS,
-        (Strategy::Indexed, _) => &INDEXED_DECISIONS,
-        (Strategy::Magic, _) => &MAGIC_DECISIONS,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
+use metrics::global::StrategyDecision;
 
 /// Is the conjunctive query contained in the Datalog program's goal
 /// predicate?  Evaluates with the default (indexed) strategy; see
@@ -153,7 +68,16 @@ pub fn cq_contained_in_datalog_with(
             ..EvalOptions::default()
         },
     );
-    record_decision(strategy, resolved);
+    // Tally under the strategy the caller *requested*; auto decisions
+    // carry what the planner resolved them to.
+    metrics::global::record_strategy_decision(match (strategy, resolved) {
+        (Strategy::Auto, Strategy::Magic) => StrategyDecision::AutoMagic,
+        (Strategy::Auto, _) => StrategyDecision::AutoIndexed,
+        (Strategy::Naive, _) => StrategyDecision::Naive,
+        (Strategy::SemiNaive, _) => StrategyDecision::SemiNaive,
+        (Strategy::Indexed, _) => StrategyDecision::Indexed,
+        (Strategy::Magic, _) => StrategyDecision::Magic,
+    });
     result.relation(goal).contains(&frozen.head_tuple)
 }
 
@@ -290,7 +214,7 @@ mod tests {
     #[test]
     fn strategy_counters_tally_decisions() {
         let q = cq::generate::path_query("e", 2);
-        let before = strategy_decision_counts();
+        let before = metrics::global::snapshot();
         assert!(cq_contained_in_datalog_with(
             &q,
             &tc(),
@@ -303,12 +227,17 @@ mod tests {
             Pred::new("p"),
             Strategy::Indexed
         ));
-        let delta = strategy_decision_counts().since(&before);
+        let delta = metrics::global::snapshot().since(&before);
         // Other tests run concurrently, so counters may overshoot; they must
         // at least account for the two decisions above.
-        assert!(delta.magic >= 1, "magic decisions uncounted: {delta:?}");
-        assert!(delta.indexed >= 1, "indexed decisions uncounted: {delta:?}");
-        assert!(delta.total() >= 2);
+        assert!(
+            delta.strategy_magic >= 1,
+            "magic decisions uncounted: {delta:?}"
+        );
+        assert!(
+            delta.strategy_indexed >= 1,
+            "indexed decisions uncounted: {delta:?}"
+        );
     }
 
     #[test]
@@ -319,32 +248,32 @@ mod tests {
         // bucket, not in the explicit-magic one attributed to callers who
         // pinned the strategy themselves.
         let q = cq::generate::path_query("e", 2);
-        let before = strategy_decision_counts();
+        let before = metrics::global::snapshot();
         assert!(cq_contained_in_datalog_with(
             &q,
             &tc(),
             Pred::new("p"),
             Strategy::Auto
         ));
-        let delta = strategy_decision_counts().since(&before);
+        let delta = metrics::global::snapshot().since(&before);
         assert!(
-            delta.auto_magic >= 1,
+            delta.strategy_auto_magic >= 1,
             "auto-resolved-to-magic decision uncounted: {delta:?}"
         );
 
         // A self-loop query freezes to a cyclic canonical database: demand
         // saturates, the planner resolves auto to indexed.
         let looped = ConjunctiveQuery::parse("q(X, X) :- e(X, X).").unwrap();
-        let before = strategy_decision_counts();
+        let before = metrics::global::snapshot();
         assert!(cq_contained_in_datalog_with(
             &looped,
             &tc(),
             Pred::new("p"),
             Strategy::Auto
         ));
-        let delta = strategy_decision_counts().since(&before);
+        let delta = metrics::global::snapshot().since(&before);
         assert!(
-            delta.auto_indexed >= 1,
+            delta.strategy_auto_indexed >= 1,
             "auto-resolved-to-indexed decision uncounted: {delta:?}"
         );
     }

@@ -64,12 +64,12 @@ pub mod unify;
 
 pub use cache::{CacheLimits, CacheSizes, CacheStats, DecisionCache, ProgramKey};
 pub use containment::{
-    datalog_contained_in_cq, datalog_contained_in_ucq, datalog_contained_in_ucq_traced,
-    ContainmentResult, Counterexample, DecisionOptions, Schedule, TraceOptions, TracedDecision,
+    datalog_contained_in_ucq, datalog_contained_in_ucq_traced, ContainmentResult, Counterexample,
+    DecisionOptions, Schedule, TraceOptions, TracedDecision,
 };
 pub use cq_in_datalog::{
-    cq_contained_in_datalog, cq_contained_in_datalog_with, strategy_decision_counts,
-    ucq_contained_in_datalog, ucq_contained_in_datalog_with, StrategyCounts,
+    cq_contained_in_datalog, cq_contained_in_datalog_with, ucq_contained_in_datalog,
+    ucq_contained_in_datalog_with,
 };
 pub use equivalence::{
     datalog_contained_in_nonrecursive, equivalent_to_nonrecursive, EquivalenceResult,

@@ -106,12 +106,12 @@ pub struct OptimizeReport {
     /// re-deciding (repeated `optimize` runs over the same program answer
     /// everything from the cache).
     pub containment_cache_hits: usize,
-    /// Canonical-database decisions evaluated during this pass, tallied per
-    /// strategy (see [`crate::cq_in_datalog::strategy_decision_counts`]).
-    /// Process-global counters sampled around the pass, so concurrent work
-    /// in other threads can inflate the numbers; cache hits evaluate nothing
-    /// and count nothing.
-    pub strategy_decisions: crate::cq_in_datalog::StrategyCounts,
+    /// How far the [`metrics::global`] registry moved during this pass; its
+    /// `strategy_*` counters tally the canonical-database decisions the pass
+    /// evaluated.  Process-global counters sampled around the pass, so
+    /// concurrent work in other threads can inflate the numbers; cache hits
+    /// evaluate nothing and count nothing.
+    pub metrics: metrics::MetricsSnapshot,
 }
 
 /// Run the configured pipeline: unreachable-rule removal, body minimisation,
@@ -126,7 +126,7 @@ pub fn optimize(
         atoms_before: program.atom_count(),
         ..OptimizeReport::default()
     };
-    let decisions_before = crate::cq_in_datalog::strategy_decision_counts();
+    let metrics_before = metrics::global::snapshot();
     let mut oracle = CountingOracle::default();
     let mut current = remove_unreachable_rules(program, goal);
     if options.minimize_bodies {
@@ -142,8 +142,7 @@ pub fn optimize(
     report.atoms_after = current.atom_count();
     report.containment_calls = oracle.calls;
     report.containment_cache_hits = oracle.hits;
-    report.strategy_decisions =
-        crate::cq_in_datalog::strategy_decision_counts().since(&decisions_before);
+    report.metrics = metrics::global::snapshot().since(&metrics_before);
     (current, report)
 }
 

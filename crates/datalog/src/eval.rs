@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use metrics::{Event, FieldValue, GlobalSink, MetricsLevel, MetricsSink};
+use metrics::{Event, FieldValue, MetricsLevel, MetricsSink, NoMetrics};
 
 use crate::atom::{Atom, Fact, Pred};
 use crate::database::Database;
@@ -173,17 +173,19 @@ pub fn evaluate(program: &Program, edb: &Database) -> EvalResult {
 /// falls back to [`Strategy::Indexed`] here.  Use [`evaluate_goal_with`]
 /// to actually run goal-directed.
 pub fn evaluate_with(program: &Program, edb: &Database, options: EvalOptions) -> EvalResult {
-    evaluate_with_sink(program, edb, options, &mut GlobalSink)
+    evaluate_with_sink(program, edb, options, &mut NoMetrics)
 }
 
 /// [`evaluate_with`], emitting structured events into `sink`.
 ///
 /// The engine is generic over the sink and guards every emission with a
 /// level check, so a [`metrics::NoMetrics`] sink monomorphizes to the
-/// uninstrumented loop.  At [`MetricsLevel::Counters`] one `eval` summary
-/// event is emitted per run; [`MetricsLevel::Debug`] adds per-`iteration`
-/// events and per-predicate `delta` sizes; [`MetricsLevel::Trace`] adds one
-/// `join` event per rule derivation carrying its probe delta.
+/// uninstrumented loop.  Whatever the sink, every completed run is recorded
+/// in the [`metrics::global`] registry.  At [`MetricsLevel::Counters`] one
+/// `eval` summary event is emitted per run; [`MetricsLevel::Debug`] adds
+/// per-`iteration` events and per-predicate `delta` sizes;
+/// [`MetricsLevel::Trace`] adds one `join` event per rule derivation
+/// carrying its probe delta.
 pub fn evaluate_with_sink<S: MetricsSink>(
     program: &Program,
     edb: &Database,
@@ -197,11 +199,6 @@ pub fn evaluate_with_sink<S: MetricsSink>(
             delta_fixpoint(program, edb, options, JoinMode::Indexed, sink)
         }
     }
-}
-
-/// Evaluate `program` on `edb` for a goal pattern with default options.
-pub fn evaluate_goal(program: &Program, edb: &Database, goal_pattern: &Atom) -> EvalResult {
-    evaluate_goal_with(program, edb, goal_pattern, EvalOptions::default())
 }
 
 /// Evaluate `program` on `edb` *for a goal pattern*: constant positions of
@@ -258,7 +255,7 @@ pub fn evaluate_goal_with(
     goal_pattern: &Atom,
     options: EvalOptions,
 ) -> EvalResult {
-    evaluate_goal_with_sink(program, edb, goal_pattern, options, &mut GlobalSink)
+    evaluate_goal_with_sink(program, edb, goal_pattern, options, &mut NoMetrics)
 }
 
 /// [`evaluate_goal_with`], emitting structured events into `sink`.
@@ -536,8 +533,13 @@ fn emit_iteration_events<S: MetricsSink>(
     }
 }
 
-/// Emit the `Counters`-level `eval` summary event for a finished run.
-fn emit_eval_summary<S: MetricsSink>(sink: &mut S, strategy: &'static str, stats: &EvalStats) {
+/// Record a finished run in the registry and, at [`MetricsLevel::Counters`]
+/// and above, emit its `eval` summary event.
+fn finish_run<S: MetricsSink>(sink: &mut S, strategy: &'static str, stats: &EvalStats) {
+    metrics::global::record_eval(stats.iterations, stats.probes, stats.derived_facts);
+    if sink.level() < MetricsLevel::Counters {
+        return;
+    }
     sink.emit(Event::new(
         "eval",
         vec![
@@ -618,9 +620,7 @@ fn naive<S: MetricsSink>(
             break;
         }
     }
-    if sink.level() >= MetricsLevel::Counters {
-        emit_eval_summary(sink, "naive", &stats);
-    }
+    finish_run(sink, "naive", &stats);
     EvalResult {
         database: db,
         stats,
@@ -750,13 +750,11 @@ fn delta_fixpoint<S: MetricsSink>(
         delta = next_delta;
     }
 
-    if sink.level() >= MetricsLevel::Counters {
-        let strategy = match mode {
-            JoinMode::Scan => "semi_naive",
-            JoinMode::Indexed => "indexed",
-        };
-        emit_eval_summary(sink, strategy, &stats);
-    }
+    let strategy = match mode {
+        JoinMode::Scan => "semi_naive",
+        JoinMode::Indexed => "indexed",
+    };
+    finish_run(sink, strategy, &stats);
     EvalResult {
         database: db,
         stats,

@@ -16,7 +16,7 @@
 //!   [`plan::JoinPlan`]),
 //! * a goal-directed planning layer: bound/free adornments under a
 //!   configurable SIPS ([`adorn`]) and the magic-set rewrite ([`magic`]),
-//!   surfaced as [`eval::Strategy::Magic`] via [`eval::evaluate_goal`],
+//!   surfaced as [`eval::Strategy::Magic`] via [`eval::evaluate_goal_with`],
 //! * program validation ([`validate`]) and statistics ([`stats`]),
 //! * generators for the paper's program families and for random instances
 //!   ([`generate`]).

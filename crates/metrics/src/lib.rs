@@ -15,9 +15,13 @@
 //! * [`RecordingSink`] — buffers structured [`Event`]s up to a `max_events`
 //!   budget with an explicit truncation flag; backs the wire-level `trace`
 //!   verb.
-//! * [`GlobalSink`] and [`global`] — a `Counters`-level sink that folds
-//!   per-run summary events into process-wide relaxed atomics; the server's
-//!   `stats` verb and `metrics_text` exposition scrape the [`global::snapshot`].
+//! * [`global`] — the one process-wide counter registry. Each counter is
+//!   declared once, with its `stats` block and key and, for the engine
+//!   counters, its Prometheus name and help. The engines record into it
+//!   through typed calls once per completed run, whatever sink is attached,
+//!   so traced runs count like untraced ones. The server's `stats` verb and
+//!   `metrics_text` exposition render the [`global::snapshot`] by iterating
+//!   [`global::COUNTERS`].
 //!
 //! Level semantics, from cheapest to most verbose:
 //!
@@ -27,6 +31,8 @@
 //! | `Counters` | one summary event per evaluation / containment / decision |
 //! | `Debug` | + per-iteration fixpoint events, per-predicate deltas, phase timings |
 //! | `Trace` | + per-pop, per-propagate, and per-join probe-delta events |
+//!
+//! The registry does not depend on the level: it counts at `Off` too.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -165,7 +171,8 @@ impl<S: MetricsSink + ?Sized> MetricsSink for &mut S {
 }
 
 /// The zero-sized no-op sink: level [`MetricsLevel::Off`], discards nothing
-/// because it is never offered anything.
+/// because it is never offered anything. The default sink of every
+/// non-traced entry point; the [`global`] registry still counts those runs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoMetrics;
 
@@ -219,17 +226,45 @@ impl MetricsSink for RecordingSink {
     }
 }
 
-/// Process-wide counters aggregated from `Counters`-level summary events.
+/// The process-wide counter registry: every count the engines keep across
+/// runs, declared once with where it renders.
 ///
-/// All loads and stores are `Relaxed`: the counters are monotone telemetry,
-/// not synchronization.
+/// The engines record into it through the typed `record_*` calls, once per
+/// completed run and whatever sink is attached — no [`Event`] is built and
+/// no string is matched. All loads and stores are `Relaxed`: the counters
+/// are monotone telemetry, not synchronization.
 pub mod global {
     use super::{AtomicU64, Ordering};
 
+    /// Where one registry counter renders.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Counter {
+        /// The block of the server's `stats` payload that holds the
+        /// counter: `eval`, `containment` or `decision` inside `metrics`,
+        /// or the top-level `strategy_decisions`.
+        pub block: &'static str,
+        /// The counter's key inside its block.
+        pub key: &'static str,
+        /// The Prometheus family name and `# HELP` text, for the counters
+        /// the `metrics_text` exposition carries.
+        pub exposition: Option<(&'static str, &'static str)>,
+    }
+
     macro_rules! counters {
-        ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
+        (@exposition) => { None };
+        (@exposition $family:literal $help:literal) => { Some(($family, $help)) };
+        ($($(#[$doc:meta])* $name:ident: $block:literal . $key:literal
+            $(=> $family:literal, $help:literal)?;)+) => {
             $(#[allow(non_upper_case_globals)]
             static $name: AtomicU64 = AtomicU64::new(0);)+
+
+            /// Every registry counter, in declaration order (the order of
+            /// [`MetricsSnapshot::values`] and of every rendering).
+            pub const COUNTERS: &[Counter] = &[$(Counter {
+                block: $block,
+                key: $key,
+                exposition: counters!(@exposition $($family $help)?),
+            },)+];
 
             /// A point-in-time copy of every process-wide counter.
             #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -243,59 +278,109 @@ pub mod global {
                     $($name: $name.load(Ordering::Relaxed),)+
                 }
             }
+
+            impl MetricsSnapshot {
+                /// Every counter's registry entry with its value, in the
+                /// order of [`COUNTERS`].
+                pub fn values(&self) -> impl Iterator<Item = (&'static Counter, u64)> {
+                    COUNTERS.iter().zip([$(self.$name),+])
+                }
+
+                /// Counter-wise difference `self - earlier`, for the counts
+                /// attributable to a bounded span of work. Saturates at zero.
+                pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                    MetricsSnapshot {
+                        $($name: self.$name.saturating_sub(earlier.$name),)+
+                    }
+                }
+            }
         };
     }
 
     counters! {
         /// Datalog fixpoint runs completed.
-        evals,
+        evals: "eval"."runs"
+            => "nonrec_eval_runs_total", "Datalog fixpoint evaluations completed.";
         /// Fixpoint iterations summed over all runs.
-        eval_iterations,
+        eval_iterations: "eval"."iterations"
+            => "nonrec_eval_iterations_total", "Fixpoint iterations summed over all evaluations.";
         /// Join candidate probes summed over all runs.
-        eval_probes,
+        eval_probes: "eval"."probes"
+            => "nonrec_eval_probes_total", "Join candidate probes summed over all evaluations.";
         /// Facts derived, summed over all runs.
-        eval_facts,
+        eval_facts: "eval"."derived_facts"
+            => "nonrec_eval_derived_facts_total", "Facts derived, summed over all evaluations.";
         /// Tree-automata containment runs completed.
-        containments,
+        containments: "containment"."runs"
+            => "nonrec_containment_runs_total", "Tree-automata containment runs completed.";
         /// (state, subset) pairs admitted to frontiers, summed.
-        containment_pairs,
+        containment_pairs: "containment"."pairs"
+            => "nonrec_containment_pairs_total", "Product pairs admitted to containment frontiers.";
         /// Propagate-cache hits, summed.
-        propagate_hits,
+        propagate_hits: "containment"."propagate_hits"
+            => "nonrec_containment_propagate_hits_total",
+               "Propagate-cache hits in the containment engines.";
         /// Propagate-cache misses, summed.
-        propagate_misses,
+        propagate_misses: "containment"."propagate_misses"
+            => "nonrec_containment_propagate_misses_total",
+               "Propagate-cache misses in the containment engines.";
         /// Frontier pairs dominated away by the antichain, summed.
-        pairs_dominated,
+        pairs_dominated: "containment"."pairs_dominated"
+            => "nonrec_containment_pairs_dominated_total",
+               "Frontier pairs dominated away by the antichain.";
         /// Dead frontier pops skipped by the scheduler, summed.
-        pops_skipped_dead,
+        pops_skipped_dead: "containment"."pops_skipped_dead"
+            => "nonrec_containment_pops_skipped_dead_total",
+               "Dead frontier pops skipped by the scheduler.";
         /// Containment decisions completed at the `core` layer.
-        decisions,
+        decisions: "decision"."runs"
+            => "nonrec_decision_runs_total", "Containment decisions completed.";
         /// Decisions answered from the `DecisionCache`.
-        decision_cache_hits,
+        decision_cache_hits: "decision"."cache_hits"
+            => "nonrec_decision_cache_hits_total", "Decisions answered from the shared decision cache.";
         /// Decisions computed fresh.
-        decision_cache_misses,
+        decision_cache_misses: "decision"."cache_misses"
+            => "nonrec_decision_cache_misses_total", "Decisions computed fresh.";
         /// Decisions routed through the word-automata fast path.
-        decisions_word_path,
+        decisions_word_path: "decision"."word_path"
+            => "nonrec_decision_word_path_total",
+               "Decisions routed through the word-automata fast path.";
         /// Decisions routed through the tree-automata path.
-        decisions_tree_path,
+        decisions_tree_path: "decision"."tree_path"
+            => "nonrec_decision_tree_path_total", "Decisions routed through the tree-automata path.";
+        /// Canonical-database decisions under an explicit naive strategy.
+        strategy_naive: "strategy_decisions"."naive";
+        /// Canonical-database decisions under an explicit semi-naive strategy.
+        strategy_semi_naive: "strategy_decisions"."semi_naive";
+        /// Canonical-database decisions under an explicit indexed strategy.
+        strategy_indexed: "strategy_decisions"."indexed";
+        /// Canonical-database decisions under an explicit magic strategy.
+        strategy_magic: "strategy_decisions"."magic";
+        /// Canonical-database decisions the auto planner resolved to magic.
+        strategy_auto_magic: "strategy_decisions"."auto_magic";
+        /// Canonical-database decisions the auto planner resolved to indexed.
+        strategy_auto_indexed: "strategy_decisions"."auto_indexed";
     }
 
-    pub(super) fn add(counter: &AtomicU64, value: u64) {
-        counter.fetch_add(value, Ordering::Relaxed);
+    fn add(counter: &AtomicU64, value: usize) {
+        counter.fetch_add(value as u64, Ordering::Relaxed);
     }
 
-    pub(super) fn record_eval(iterations: u64, probes: u64, facts: u64) {
+    /// Record one completed fixpoint run.
+    pub fn record_eval(iterations: usize, probes: usize, facts: usize) {
         add(&evals, 1);
         add(&eval_iterations, iterations);
         add(&eval_probes, probes);
         add(&eval_facts, facts);
     }
 
-    pub(super) fn record_containment(
-        pairs: u64,
-        hits: u64,
-        misses: u64,
-        dominated: u64,
-        skipped_dead: u64,
+    /// Record one completed tree-automata containment run.
+    pub fn record_containment(
+        pairs: usize,
+        hits: usize,
+        misses: usize,
+        dominated: usize,
+        skipped_dead: usize,
     ) {
         add(&containments, 1);
         add(&containment_pairs, pairs);
@@ -305,60 +390,63 @@ pub mod global {
         add(&pops_skipped_dead, skipped_dead);
     }
 
-    pub(super) fn record_decision(cache_hit: bool, path: Option<&str>) {
+    /// Record one completed containment decision: answered from the cache
+    /// or not, and carried by the word or the tree automata.
+    pub fn record_decision(cache_hit: bool, word_path: bool) {
         add(&decisions, 1);
-        if cache_hit {
-            add(&decision_cache_hits, 1);
-        } else {
-            add(&decision_cache_misses, 1);
-        }
-        match path {
-            Some("word") => add(&decisions_word_path, 1),
-            Some("tree") => add(&decisions_tree_path, 1),
-            _ => {}
-        }
+        add(
+            if cache_hit {
+                &decision_cache_hits
+            } else {
+                &decision_cache_misses
+            },
+            1,
+        );
+        add(
+            if word_path {
+                &decisions_word_path
+            } else {
+                &decisions_tree_path
+            },
+            1,
+        );
+    }
+
+    /// Which strategy served a canonical-database decision; auto decisions
+    /// carry what the planner resolved them to.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum StrategyDecision {
+        /// An explicitly requested naive evaluation.
+        Naive,
+        /// An explicitly requested semi-naive evaluation.
+        SemiNaive,
+        /// An explicitly requested indexed evaluation.
+        Indexed,
+        /// An explicitly requested magic-set evaluation.
+        Magic,
+        /// An auto request the planner resolved to magic.
+        AutoMagic,
+        /// An auto request the planner resolved to indexed.
+        AutoIndexed,
+    }
+
+    /// Record one canonical-database decision under its strategy.
+    pub fn record_strategy_decision(decision: StrategyDecision) {
+        add(
+            match decision {
+                StrategyDecision::Naive => &strategy_naive,
+                StrategyDecision::SemiNaive => &strategy_semi_naive,
+                StrategyDecision::Indexed => &strategy_indexed,
+                StrategyDecision::Magic => &strategy_magic,
+                StrategyDecision::AutoMagic => &strategy_auto_magic,
+                StrategyDecision::AutoIndexed => &strategy_auto_indexed,
+            },
+            1,
+        );
     }
 }
 
 pub use global::MetricsSnapshot;
-
-/// A `Counters`-level sink that folds summary events into the [`global`]
-/// registry. Zero-sized; the default sink for the non-traced entry points.
-///
-/// Recognized summary kinds: `"eval"` (fields `iterations`, `probes`,
-/// `derived_facts`), `"containment"` (fields `pairs`, `propagate_hits`,
-/// `propagate_misses`, `pairs_dominated`, `pops_skipped_dead`), and
-/// `"decision"` (fields `cache_hit`, `path`). Anything else is ignored.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GlobalSink;
-
-impl MetricsSink for GlobalSink {
-    fn level(&self) -> MetricsLevel {
-        MetricsLevel::Counters
-    }
-
-    fn emit(&mut self, event: Event) {
-        match event.kind {
-            "eval" => global::record_eval(
-                event.num("iterations").unwrap_or(0),
-                event.num("probes").unwrap_or(0),
-                event.num("derived_facts").unwrap_or(0),
-            ),
-            "containment" => global::record_containment(
-                event.num("pairs").unwrap_or(0),
-                event.num("propagate_hits").unwrap_or(0),
-                event.num("propagate_misses").unwrap_or(0),
-                event.num("pairs_dominated").unwrap_or(0),
-                event.num("pops_skipped_dead").unwrap_or(0),
-            ),
-            "decision" => global::record_decision(
-                event.flag("cache_hit").unwrap_or(false),
-                event.text("path"),
-            ),
-            _ => {}
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -392,38 +480,39 @@ mod tests {
     fn no_metrics_is_off_and_zero_sized() {
         assert_eq!(NoMetrics.level(), MetricsLevel::Off);
         assert_eq!(std::mem::size_of::<NoMetrics>(), 0);
-        assert_eq!(std::mem::size_of::<GlobalSink>(), 0);
     }
 
     #[test]
-    fn global_sink_folds_summary_events_into_the_snapshot() {
+    fn typed_records_land_in_the_snapshot() {
         let before = global::snapshot();
-        let mut sink = GlobalSink;
-        sink.emit(Event::new(
-            "eval",
-            vec![
-                ("iterations", FieldValue::Num(3)),
-                ("probes", FieldValue::Num(100)),
-                ("derived_facts", FieldValue::Num(7)),
-            ],
-        ));
-        sink.emit(Event::new(
-            "decision",
-            vec![
-                ("cache_hit", FieldValue::Flag(false)),
-                ("path", FieldValue::Text("tree".to_string())),
-            ],
-        ));
-        sink.emit(Event::new("unknown_kind", Vec::new()));
-        let after = global::snapshot();
-        assert_eq!(after.evals, before.evals + 1);
-        assert_eq!(after.eval_probes, before.eval_probes + 100);
-        assert_eq!(after.decisions, before.decisions + 1);
-        assert_eq!(
-            after.decision_cache_misses,
-            before.decision_cache_misses + 1
-        );
-        assert_eq!(after.decisions_tree_path, before.decisions_tree_path + 1);
+        global::record_eval(3, 100, 7);
+        global::record_decision(false, false);
+        global::record_strategy_decision(global::StrategyDecision::AutoMagic);
+        let delta = global::snapshot().since(&before);
+        // Other tests run concurrently, so deltas may overshoot.
+        assert!(delta.evals >= 1);
+        assert!(delta.eval_probes >= 100);
+        assert!(delta.decisions >= 1);
+        assert!(delta.decision_cache_misses >= 1);
+        assert!(delta.decisions_tree_path >= 1);
+        assert!(delta.strategy_auto_magic >= 1);
+    }
+
+    #[test]
+    fn every_counter_has_one_block_and_key() {
+        let mut seen = std::collections::BTreeSet::new();
+        for counter in global::COUNTERS {
+            assert!(
+                seen.insert((counter.block, counter.key)),
+                "{counter:?} declared twice"
+            );
+        }
+        let exposed = global::COUNTERS
+            .iter()
+            .filter(|c| c.exposition.is_some())
+            .count();
+        assert_eq!(exposed, 15);
+        assert_eq!(global::snapshot().values().count(), global::COUNTERS.len());
     }
 
     #[test]

@@ -73,20 +73,6 @@ fn parse_query_field(field: &'static str, text: &str) -> Result<Ucq, WireError> 
         .map_err(|e| WireError::new(e.code(), format!("in field `{field}`: {e}")))
 }
 
-/// The one wire rendering of [`nonrec_equivalence::StrategyCounts`]: shared
-/// by the `optimize` verb's report and the `stats` verb's
-/// `strategy_decisions` block, so the shape cannot drift between the two.
-pub fn strategy_counts_json(counts: &nonrec_equivalence::StrategyCounts) -> Value {
-    obj(vec![
-        ("naive", Value::num(counts.naive as f64)),
-        ("semi_naive", Value::num(counts.semi_naive as f64)),
-        ("indexed", Value::num(counts.indexed as f64)),
-        ("magic", Value::num(counts.magic as f64)),
-        ("auto_magic", Value::num(counts.auto_magic as f64)),
-        ("auto_indexed", Value::num(counts.auto_indexed as f64)),
-    ])
-}
-
 fn path_name(path: DecisionPath) -> &'static str {
     match path {
         DecisionPath::TreeAutomata => "tree",
@@ -413,7 +399,7 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
                 ),
                 (
                     "strategy_decisions",
-                    strategy_counts_json(&report.strategy_decisions),
+                    crate::metrics::block_json(&report.metrics, "strategy_decisions"),
                 ),
             ]))
         }

@@ -1,14 +1,17 @@
-//! Rendering of the engine metrics: the `stats` verb's `metrics` block,
-//! the `metrics_text` verb's Prometheus-style text exposition, and the
-//! `trace` verb's event objects.
+//! Rendering of the engine metrics: the `stats` verb's `metrics` and
+//! `strategy_decisions` blocks, the `optimize` verb's `strategy_decisions`
+//! block, the `metrics_text` verb's Prometheus-style text exposition, and
+//! the `trace` verb's event objects.
 //!
-//! All three surfaces read the same sources — the process-wide
-//! [`metrics::global::snapshot`] counters (folded in by the
-//! `Counters`-level [`metrics::GlobalSink`] every decision runs with) and
-//! the per-verb latency histograms of [`ServerStats`] — through the one
-//! renderer each, so a JSON consumer and a scrape pipeline can never see
-//! shapes that drifted apart (the same lesson the `cache_limits` and
-//! `strategy_decisions` shared renderers encode).
+//! The counters come from the one typed registry,
+//! [`metrics::global`]: each is declared there once with its `stats` block,
+//! key and, for the engine counters, Prometheus name and help, and every
+//! surface here renders by iterating [`metrics::global::COUNTERS`] — a JSON
+//! consumer and a scrape pipeline can never see counters that drifted
+//! apart.  The engines record into the registry on every completed run,
+//! whatever sink is attached, so decisions run by the `trace` verb count
+//! like any other.  The per-verb latency histograms come from
+//! [`ServerStats`].
 //!
 //! The text exposition follows the Prometheus conventions: every metric
 //! gets `# HELP` and `# TYPE` lines; counters are plain
@@ -24,50 +27,32 @@ use nonrec_equivalence::cache::DecisionCache;
 use crate::json::{obj, Value};
 use crate::stats::{LatencyHistogram, ServerStats};
 
+/// The blocks of the `stats` verb's `metrics` object, in wire order: the
+/// Datalog fixpoint, the tree-containment engine, and the decision
+/// procedure above both.
+const METRICS_BLOCKS: [&str; 3] = ["eval", "containment", "decision"];
+
 fn num(n: u64) -> Value {
     Value::num(n as f64)
 }
 
-/// The JSON rendering of the process-wide metrics counters — the `stats`
-/// verb's `metrics` block.  Grouped by layer: the Datalog fixpoint, the
-/// tree-containment engine, and the decision procedure above both.
-pub fn metrics_json() -> Value {
-    snapshot_json(&metrics::global::snapshot())
+/// The JSON object of one registry block: each of its counters under its
+/// key, in declaration order.
+pub fn block_json(snap: &MetricsSnapshot, block: &str) -> Value {
+    obj(snap
+        .values()
+        .filter(|(counter, _)| counter.block == block)
+        .map(|(counter, value)| (counter.key, num(value)))
+        .collect())
 }
 
-fn snapshot_json(snap: &MetricsSnapshot) -> Value {
-    obj(vec![
-        (
-            "eval",
-            obj(vec![
-                ("runs", num(snap.evals)),
-                ("iterations", num(snap.eval_iterations)),
-                ("probes", num(snap.eval_probes)),
-                ("derived_facts", num(snap.eval_facts)),
-            ]),
-        ),
-        (
-            "containment",
-            obj(vec![
-                ("runs", num(snap.containments)),
-                ("pairs", num(snap.containment_pairs)),
-                ("propagate_hits", num(snap.propagate_hits)),
-                ("propagate_misses", num(snap.propagate_misses)),
-                ("pairs_dominated", num(snap.pairs_dominated)),
-                ("pops_skipped_dead", num(snap.pops_skipped_dead)),
-            ]),
-        ),
-        (
-            "decision",
-            obj(vec![
-                ("runs", num(snap.decisions)),
-                ("cache_hits", num(snap.decision_cache_hits)),
-                ("cache_misses", num(snap.decision_cache_misses)),
-                ("word_path", num(snap.decisions_word_path)),
-                ("tree_path", num(snap.decisions_tree_path)),
-            ]),
-        ),
-    ])
+/// The JSON rendering of the engine counters — the `stats` verb's
+/// `metrics` block, grouped by layer.
+pub fn metrics_json(snap: &MetricsSnapshot) -> Value {
+    obj(METRICS_BLOCKS
+        .iter()
+        .map(|&block| (block, block_json(snap, block)))
+        .collect())
 }
 
 /// The JSON rendering of one trace [`Event`]: its kind plus every field,
@@ -87,32 +72,11 @@ pub fn event_json(event: &Event) -> Value {
     obj(fields)
 }
 
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push_str("\n# TYPE ");
-    out.push_str(name);
-    out.push_str(" counter\n");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
-}
-
-fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push_str("\n# TYPE ");
-    out.push_str(name);
-    out.push_str(" gauge\n");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
+/// One single-sample family: `# HELP`, `# TYPE`, and the `name value` line.
+fn family(out: &mut String, name: &str, help: &str, kind: &str, value: u64) {
+    out.push_str(&format!(
+        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
+    ));
 }
 
 fn histogram_series(out: &mut String, verb: &str, histogram: &LatencyHistogram) {
@@ -144,102 +108,17 @@ fn histogram_series(out: &mut String, verb: &str, histogram: &LatencyHistogram) 
 /// histograms (verbs that have never completed a request are omitted to
 /// keep the scrape compact; their series would be all zero).
 pub fn metrics_text(stats: &ServerStats, cache: &DecisionCache) -> String {
-    let snap = metrics::global::snapshot();
     let mut out = String::new();
-    counter(
-        &mut out,
-        "nonrec_eval_runs_total",
-        "Datalog fixpoint evaluations completed.",
-        snap.evals,
-    );
-    counter(
-        &mut out,
-        "nonrec_eval_iterations_total",
-        "Fixpoint iterations summed over all evaluations.",
-        snap.eval_iterations,
-    );
-    counter(
-        &mut out,
-        "nonrec_eval_probes_total",
-        "Join candidate probes summed over all evaluations.",
-        snap.eval_probes,
-    );
-    counter(
-        &mut out,
-        "nonrec_eval_derived_facts_total",
-        "Facts derived, summed over all evaluations.",
-        snap.eval_facts,
-    );
-    counter(
-        &mut out,
-        "nonrec_containment_runs_total",
-        "Tree-automata containment runs completed.",
-        snap.containments,
-    );
-    counter(
-        &mut out,
-        "nonrec_containment_pairs_total",
-        "Product pairs admitted to containment frontiers.",
-        snap.containment_pairs,
-    );
-    counter(
-        &mut out,
-        "nonrec_containment_propagate_hits_total",
-        "Propagate-cache hits in the containment engines.",
-        snap.propagate_hits,
-    );
-    counter(
-        &mut out,
-        "nonrec_containment_propagate_misses_total",
-        "Propagate-cache misses in the containment engines.",
-        snap.propagate_misses,
-    );
-    counter(
-        &mut out,
-        "nonrec_containment_pairs_dominated_total",
-        "Frontier pairs dominated away by the antichain.",
-        snap.pairs_dominated,
-    );
-    counter(
-        &mut out,
-        "nonrec_containment_pops_skipped_dead_total",
-        "Dead frontier pops skipped by the scheduler.",
-        snap.pops_skipped_dead,
-    );
-    counter(
-        &mut out,
-        "nonrec_decision_runs_total",
-        "Containment decisions completed.",
-        snap.decisions,
-    );
-    counter(
-        &mut out,
-        "nonrec_decision_cache_hits_total",
-        "Decisions answered from the shared decision cache.",
-        snap.decision_cache_hits,
-    );
-    counter(
-        &mut out,
-        "nonrec_decision_cache_misses_total",
-        "Decisions computed fresh.",
-        snap.decision_cache_misses,
-    );
-    counter(
-        &mut out,
-        "nonrec_decision_word_path_total",
-        "Decisions routed through the word-automata fast path.",
-        snap.decisions_word_path,
-    );
-    counter(
-        &mut out,
-        "nonrec_decision_tree_path_total",
-        "Decisions routed through the tree-automata path.",
-        snap.decisions_tree_path,
-    );
-    gauge(
+    for (counter, value) in metrics::global::snapshot().values() {
+        if let Some((name, help)) = counter.exposition {
+            family(&mut out, name, help, "counter", value);
+        }
+    }
+    family(
         &mut out,
         "nonrec_decision_cache_entries",
         "Entries currently held by the shared decision cache.",
+        "gauge",
         cache.sizes().total() as u64,
     );
     let histograms: Vec<_> = stats
@@ -265,40 +144,18 @@ mod tests {
 
     #[test]
     fn metrics_json_exposes_every_layer() {
-        let rendered = metrics_json();
-        for (block, keys) in [
-            (
-                "eval",
-                vec!["runs", "iterations", "probes", "derived_facts"],
-            ),
-            (
-                "containment",
-                vec![
-                    "runs",
-                    "pairs",
-                    "propagate_hits",
-                    "propagate_misses",
-                    "pairs_dominated",
-                    "pops_skipped_dead",
-                ],
-            ),
-            (
-                "decision",
-                vec![
-                    "runs",
-                    "cache_hits",
-                    "cache_misses",
-                    "word_path",
-                    "tree_path",
-                ],
-            ),
-        ] {
-            let section = rendered.get(block).unwrap();
-            for key in keys {
-                assert!(
-                    section.get(key).unwrap().as_u64().is_some(),
-                    "{block}.{key} must be a counter"
-                );
+        let snap = metrics::global::snapshot();
+        let rendered = metrics_json(&snap);
+        for (counter, value) in snap.values() {
+            let section = rendered.get(counter.block);
+            // Exactly the counters `metrics_text` exposes live in `metrics`.
+            assert_eq!(
+                section.is_some(),
+                counter.exposition.is_some(),
+                "{counter:?}"
+            );
+            if let Some(section) = section {
+                assert_eq!(section.get(counter.key).unwrap().as_u64(), Some(value));
             }
         }
     }

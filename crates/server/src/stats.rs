@@ -297,6 +297,7 @@ impl ServerStats {
         let cache_stats = cache.stats();
         let sizes = cache.sizes();
         let limits = crate::protocol::cache_limits_json(cache.limits());
+        let registry = metrics::global::snapshot();
         let inner = self.lock();
         let verbs = VERBS
             .iter()
@@ -372,13 +373,14 @@ impl ServerStats {
                 ]),
             ),
             // The engine metrics (fixpoint, containment, decision layers)
-            // through the same renderer the text exposition's JSON sibling
-            // uses, so the two surfaces cannot drift.
-            ("metrics", crate::metrics::metrics_json()),
+            // and the strategy tallies, both rendered from the one counter
+            // registry the text exposition iterates, so the surfaces cannot
+            // drift.
+            ("metrics", crate::metrics::metrics_json(&registry)),
             ("verbs", Value::Obj(verbs)),
             (
                 "strategy_decisions",
-                crate::engine::strategy_counts_json(&nonrec_equivalence::strategy_decision_counts()),
+                crate::metrics::block_json(&registry, "strategy_decisions"),
             ),
         ])
     }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Staged CI pipeline: fmt -> build -> test -> clippy -> doc -> examples -> bench-gates.
+# Staged CI pipeline: fmt -> build -> perfbench -> test -> soak -> clippy -> doc ->
+# examples -> bench-gates.
 #
 # One stage, one responsibility; per-stage timing; a clean summary at the
 # end; non-zero exit if anything failed.  `scripts/verify.sh` delegates
@@ -11,6 +12,10 @@
 # Stages:
 #     fmt          cargo fmt --all --check
 #     build        cargo build --release --all-targets
+#     perfbench    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+#                  (the repository benchmark is its own Cargo workspace that
+#                  imports library items; a change that breaks it fails
+#                  here, not in a benchmark run)
 #     test         cargo test -q
 #     soak         NONREC_SOAK_FAST=1 cargo test --release --test server_soak
 #                  (bounded-cache server under 4-client eviction churn:
@@ -36,7 +41,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt build test soak clippy doc examples bench-gates)
+ALL_STAGES=(fmt build perfbench test soak clippy doc examples bench-gates)
 STAGES=("${@:-${ALL_STAGES[@]}}")
 
 SUMMARY_NAMES=()
@@ -68,6 +73,10 @@ stage_fmt() {
 
 stage_build() {
     cargo build --release --all-targets
+}
+
+stage_perfbench() {
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_test() {
@@ -127,6 +136,7 @@ for stage in "${STAGES[@]}"; do
     case "$stage" in
         fmt) run_stage fmt stage_fmt ;;
         build) run_stage build stage_build ;;
+        perfbench) run_stage perfbench stage_perfbench ;;
         test) run_stage test stage_test ;;
         soak) run_stage soak stage_soak ;;
         clippy) run_stage clippy stage_clippy ;;

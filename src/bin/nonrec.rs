@@ -256,16 +256,14 @@ fn run(args: &Args) -> Result<bool, String> {
             "[stats] decision cache: {} hits / {} misses, {} pairs explored, {} pairs saved",
             cache.hits, cache.misses, cache.pairs_explored, cache.pairs_saved
         );
-        let decisions = nonrec_equivalence::strategy_decision_counts();
+        let decisions: Vec<String> = metrics::global::snapshot()
+            .values()
+            .filter(|(counter, _)| counter.block == "strategy_decisions")
+            .map(|(counter, value)| format!("{} {value}", counter.key))
+            .collect();
         println!(
-            "[stats] canonical-db decisions by strategy: naive {}, semi_naive {}, \
-             indexed {}, magic {}, auto→magic {}, auto→indexed {}",
-            decisions.naive,
-            decisions.semi_naive,
-            decisions.indexed,
-            decisions.magic,
-            decisions.auto_magic,
-            decisions.auto_indexed
+            "[stats] canonical-db decisions by strategy: {}",
+            decisions.join(", ")
         );
     }
 

@@ -1197,6 +1197,100 @@ fn stats_payload_has_the_golden_shape() {
     );
 }
 
+/// `stats.metrics` and `metrics_text` render one counter registry: after
+/// a `containment`, an `equivalence` and a `trace` request every counter
+/// reads the same on both surfaces.  The registry counts decisions the
+/// `trace` verb runs: an uncached trace moves the decision and
+/// containment runs exactly as the identical `containment` request does.
+#[test]
+fn stats_and_metrics_text_render_one_registry_that_counts_traces() {
+    const NONLINEAR_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).";
+    const QUERY: &str = "q(X, Y) :- e(X, Y).";
+
+    fn ok(client: &mut Client, request: &Value) -> Value {
+        let response = client.request(request).expect("request");
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "got {}",
+            response.render()
+        );
+        response.get("result").unwrap().clone()
+    }
+    fn metrics(client: &mut Client) -> Value {
+        ok(client, &protocol::stats_request())
+            .get("metrics")
+            .unwrap()
+            .clone()
+    }
+    fn read(metrics: &Value, block: &str, key: &str) -> u64 {
+        metrics
+            .get(block)
+            .and_then(|b| b.get(key))
+            .and_then(Value::as_u64)
+            .unwrap()
+    }
+    fn uncached(mut request: Value) -> Value {
+        if let Value::Obj(fields) = &mut request {
+            fields.push(("options".into(), obj(vec![("no_cache", Value::Bool(true))])));
+        }
+        request
+    }
+
+    let server = ServerProc::spawn(&[]);
+    let mut client = server.client();
+    let before = metrics(&mut client);
+    ok(
+        &mut client,
+        &uncached(protocol::containment_request(NONLINEAR_TC, "p", QUERY)),
+    );
+    let after_containment = metrics(&mut client);
+    ok(
+        &mut client,
+        &uncached(protocol::trace_request(NONLINEAR_TC, "p", QUERY, "debug")),
+    );
+    let after_trace = metrics(&mut client);
+    for block in ["decision", "containment"] {
+        let by_containment = read(&after_containment, block, "runs") - read(&before, block, "runs");
+        let by_trace = read(&after_trace, block, "runs") - read(&after_containment, block, "runs");
+        assert!(by_containment > 0, "{block}.runs did not move");
+        assert_eq!(
+            by_trace, by_containment,
+            "{block}.runs moved differently for `trace`"
+        );
+    }
+
+    ok(
+        &mut client,
+        &protocol::equivalence_request(CHAIN_TC, "p", "p(X, Y) :- e(X, Y)."),
+    );
+    let stats = metrics(&mut client);
+    let text = ok(&mut client, &protocol::metrics_text_request());
+    let text = text.get("text").and_then(Value::as_str).unwrap();
+    let mut compared = 0;
+    for counter in metrics::global::COUNTERS {
+        let Some(section) = stats.get(counter.block) else {
+            continue;
+        };
+        let (family, _) = counter
+            .exposition
+            .expect("stats.metrics counters are exposed");
+        let sample = text
+            .lines()
+            .find_map(|line| line.strip_prefix(family)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no `{family}` sample"));
+        assert_eq!(
+            section.get(counter.key).and_then(Value::as_u64),
+            sample.parse().ok(),
+            "{}.{} disagrees with {family}",
+            counter.block,
+            counter.key
+        );
+        compared += 1;
+    }
+    assert_eq!(compared, 15, "every engine counter is compared");
+}
+
 /// Satellite: the text-level memo layers must never capture or serve
 /// `trace`, `stats`, `metrics_text`, or admin responses — a memoised trace
 /// would report a run that never happened.  The positive control first

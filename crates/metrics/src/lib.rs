@@ -489,13 +489,21 @@ mod tests {
         global::record_decision(false, false);
         global::record_strategy_decision(global::StrategyDecision::AutoMagic);
         let delta = global::snapshot().since(&before);
-        // Other tests run concurrently, so deltas may overshoot.
-        assert!(delta.evals >= 1);
-        assert!(delta.eval_probes >= 100);
-        assert!(delta.decisions >= 1);
-        assert!(delta.decision_cache_misses >= 1);
-        assert!(delta.decisions_tree_path >= 1);
-        assert!(delta.strategy_auto_magic >= 1);
+        assert_eq!(delta.evals, 1);
+        assert_eq!(delta.eval_iterations, 3);
+        assert_eq!(delta.eval_probes, 100);
+        assert_eq!(delta.eval_facts, 7);
+        assert_eq!(delta.decisions, 1);
+        assert_eq!(delta.decision_cache_misses, 1);
+        assert_eq!(delta.decision_cache_hits, 0);
+        assert_eq!(delta.decisions_tree_path, 1);
+        assert_eq!(delta.decisions_word_path, 0);
+        assert_eq!(delta.strategy_auto_magic, 1);
+        assert_eq!(delta.strategy_naive, 0);
+        assert_eq!(delta.strategy_semi_naive, 0);
+        assert_eq!(delta.strategy_indexed, 0);
+        assert_eq!(delta.strategy_magic, 0);
+        assert_eq!(delta.strategy_auto_indexed, 0);
     }
 
     #[test]

@@ -27,11 +27,6 @@ use nonrec_equivalence::cache::DecisionCache;
 use crate::json::{obj, Value};
 use crate::stats::{LatencyHistogram, ServerStats};
 
-/// The blocks of the `stats` verb's `metrics` object, in wire order: the
-/// Datalog fixpoint, the tree-containment engine, and the decision
-/// procedure above both.
-const METRICS_BLOCKS: [&str; 3] = ["eval", "containment", "decision"];
-
 fn num(n: u64) -> Value {
     Value::num(n as f64)
 }
@@ -47,11 +42,18 @@ pub fn block_json(snap: &MetricsSnapshot, block: &str) -> Value {
 }
 
 /// The JSON rendering of the engine counters — the `stats` verb's
-/// `metrics` block, grouped by layer.
+/// `metrics` block: one object per registry block whose counters the
+/// `metrics_text` exposition carries, in declaration order.
 pub fn metrics_json(snap: &MetricsSnapshot) -> Value {
-    obj(METRICS_BLOCKS
-        .iter()
-        .map(|&block| (block, block_json(snap, block)))
+    let mut blocks: Vec<&str> = Vec::new();
+    for counter in metrics::global::COUNTERS {
+        if counter.exposition.is_some() && !blocks.contains(&counter.block) {
+            blocks.push(counter.block);
+        }
+    }
+    obj(blocks
+        .into_iter()
+        .map(|block| (block, block_json(snap, block)))
         .collect())
 }
 

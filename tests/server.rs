@@ -1259,6 +1259,13 @@ fn stats_and_metrics_text_render_one_registry_that_counts_traces() {
             "{block}.runs moved differently for `trace`"
         );
     }
+    // At `debug`, the trace also re-evaluates the program on the
+    // counterexample's canonical database: exactly one more fixpoint run.
+    let eval_by_containment =
+        read(&after_containment, "eval", "runs") - read(&before, "eval", "runs");
+    let eval_by_trace =
+        read(&after_trace, "eval", "runs") - read(&after_containment, "eval", "runs");
+    assert_eq!(eval_by_trace, eval_by_containment + 1);
 
     ok(
         &mut client,

@@ -252,24 +252,6 @@ impl Ord for Candidate {
     }
 }
 
-/// One pop of the min-subset frontier, as recorded by
-/// [`contained_in_with_trace`].  The scheduling invariant — a pop is always
-/// a minimum of the current frontier — is observable as
-/// `size <= next_size` on every record; popped sizes as a *sequence* are
-/// not monotone, because propagation is contracting and pushes smaller
-/// subsets behind larger queued ones.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrontierPop {
-    /// Subset size of the popped candidate.
-    pub size: usize,
-    /// Subset size of the next candidate still queued after this pop
-    /// (`None` if the pop emptied the frontier).
-    pub next_size: Option<usize>,
-    /// False when the candidate was discarded at pop time (dominated or
-    /// duplicate by the time it surfaced).
-    pub admitted: bool,
-}
-
 /// Mutable state of the worklist engine, bundled so the helper methods can
 /// split-borrow its fields.
 struct Engine<'b, L: Ord> {
@@ -470,7 +452,8 @@ pub fn contained_in_with<L: Ord + Clone>(
 /// verdict) is emitted per run;
 /// [`MetricsLevel::Debug`] adds `phase` timings for preparation and
 /// saturation; [`MetricsLevel::Trace`] adds one `pop` event per worklist pop
-/// (subset size, antichain admission, dominated kills) and one `propagate`
+/// (subset size, antichain admission, dominated kills, and under the
+/// min-subset schedule the `next_size` still queued) and one `propagate`
 /// event per combination (memo hit/miss, resulting subset size).  Every
 /// emission is level-guarded, so a [`metrics::NoMetrics`] sink monomorphizes
 /// to the uninstrumented engine.
@@ -483,7 +466,7 @@ pub fn contained_in_with_sink<L: Ord + Clone, S: MetricsSink>(
     let phase_start = (sink.level() >= MetricsLevel::Debug).then(Instant::now);
     let result = match options.schedule {
         Schedule::Fifo => contained_in_fifo(a, b, options, sink),
-        Schedule::MinSubset => contained_in_scheduled(a, b, options, None, sink),
+        Schedule::MinSubset => contained_in_scheduled(a, b, options, sink),
     };
     if let Some(start) = phase_start {
         emit_phase(sink, "total", start);
@@ -528,20 +511,6 @@ pub fn contained_in_with_sink<L: Ord + Clone, S: MetricsSink>(
         ));
     }
     result
-}
-
-/// Decide containment under the min-subset schedule *and* record every
-/// frontier pop — the observability hook the monotone-frontier property
-/// test drives.  `options.schedule` is ignored (the FIFO schedule has no
-/// priority frontier to trace).
-pub fn contained_in_with_trace<L: Ord + Clone>(
-    a: &TreeAutomaton<L>,
-    b: &TreeAutomaton<L>,
-    options: ContainmentOptions,
-) -> (TreeContainment<L>, Vec<FrontierPop>) {
-    let mut trace = Vec::new();
-    let result = contained_in_scheduled(a, b, options, Some(&mut trace), &mut NoMetrics);
-    (result, trace)
 }
 
 /// Shared setup of both worklist schedules: the `A1` transition table with
@@ -803,7 +772,6 @@ fn contained_in_scheduled<L: Ord + Clone, S: MetricsSink>(
     a: &TreeAutomaton<L>,
     b: &TreeAutomaton<L>,
     options: ContainmentOptions,
-    mut trace: Option<&mut Vec<FrontierPop>>,
     sink: &mut S,
 ) -> TreeContainment<L> {
     let phase_start = (sink.level() >= MetricsLevel::Debug).then(Instant::now);
@@ -863,25 +831,24 @@ fn contained_in_scheduled<L: Ord + Clone, S: MetricsSink>(
         } = candidate;
         let dominated_before = engine.stats.pairs_dominated;
         let admitted = engine.insert(state, subset, derivation, options.antichain);
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(FrontierPop {
-                size,
-                next_size: frontier.peek().map(|Reverse(c)| c.size),
-                admitted: admitted.is_some(),
-            });
-        }
         if sink.level() >= MetricsLevel::Trace {
-            sink.emit(Event::new(
-                "pop",
-                vec![
-                    ("size", FieldValue::Num(size as u64)),
-                    ("admitted", FieldValue::Flag(admitted.is_some())),
-                    (
-                        "dominated_killed",
-                        FieldValue::Num((engine.stats.pairs_dominated - dominated_before) as u64),
-                    ),
-                ],
-            ));
+            let mut fields = vec![
+                ("size", FieldValue::Num(size as u64)),
+                ("admitted", FieldValue::Flag(admitted.is_some())),
+                (
+                    "dominated_killed",
+                    FieldValue::Num((engine.stats.pairs_dominated - dominated_before) as u64),
+                ),
+            ];
+            // The scheduling invariant — a pop is always a minimum of the
+            // frontier — is observable as `size <= next_size` on every pop;
+            // popped sizes as a *sequence* are not monotone, because
+            // propagation is contracting and pushes smaller subsets behind
+            // larger queued ones.
+            if let Some(Reverse(next)) = frontier.peek() {
+                fields.push(("next_size", FieldValue::Num(next.size as u64)));
+            }
+            sink.emit(Event::new("pop", fields));
         }
         let Some(index) = admitted else {
             engine.stats.pops_skipped_dead += 1;
@@ -1500,24 +1467,29 @@ mod tests {
 
     #[test]
     fn frontier_pops_are_minima_of_the_frontier() {
+        use metrics::{MetricsLevel, RecordingSink};
         for (a, b) in &fixture_pairs() {
-            let (result, trace) = contained_in_with_trace(a, b, ContainmentOptions::default());
+            let mut sink = RecordingSink::new(MetricsLevel::Trace, usize::MAX);
+            let result = contained_in_with_sink(a, b, ContainmentOptions::default(), &mut sink);
             assert_eq!(
                 result.is_contained(),
                 contained_in_rounds(a, b).is_contained()
             );
-            for pop in &trace {
-                if let Some(next) = pop.next_size {
+            let pops: Vec<_> = sink.events.iter().filter(|e| e.kind == "pop").collect();
+            for pop in &pops {
+                let size = pop.num("size").unwrap();
+                if let Some(next) = pop.num("next_size") {
                     assert!(
-                        pop.size <= next,
-                        "popped size {} exceeds queued size {next}",
-                        pop.size
+                        size <= next,
+                        "popped size {size} exceeds queued size {next}"
                     );
                 }
             }
             // Admitted pops are exactly the counted pairs.
             assert_eq!(
-                trace.iter().filter(|p| p.admitted).count(),
+                pops.iter()
+                    .filter(|p| p.flag("admitted") == Some(true))
+                    .count(),
                 result.stats().pairs
             );
         }

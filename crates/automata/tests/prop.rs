@@ -332,27 +332,33 @@ fn tree_containment_worklist_agrees_with_rounds_oracle() {
 /// these runs' motivating shapes: dominators are established first.
 #[test]
 fn tree_containment_scheduled_pops_are_frontier_minima() {
-    use automata::tree::containment::{contained_in_with_trace, ContainmentOptions};
+    use automata::tree::containment::{contained_in_with_sink, ContainmentOptions};
+    use metrics::{MetricsLevel, RecordingSink};
     for case in 0..CONTAINMENT_CASES {
         let mut rng = StdRng::seed_from_u64(case ^ 0x5C_4EDC);
         let a = random_tree_automaton(&mut rng);
         let b = random_tree_automaton(&mut rng);
-        let (result, trace) = contained_in_with_trace(&a, &b, ContainmentOptions::default());
-        for (i, pop) in trace.iter().enumerate() {
-            if let Some(next) = pop.next_size {
+        let mut sink = RecordingSink::new(MetricsLevel::Trace, usize::MAX);
+        let result = contained_in_with_sink(&a, &b, ContainmentOptions::default(), &mut sink);
+        let pops: Vec<_> = sink.events.iter().filter(|e| e.kind == "pop").collect();
+        for (i, pop) in pops.iter().enumerate() {
+            let size = pop.num("size").unwrap();
+            if let Some(next) = pop.num("next_size") {
                 assert!(
-                    pop.size <= next,
-                    "case {case}, pop {i}: popped size {} exceeds queued size {next}",
-                    pop.size
+                    size <= next,
+                    "case {case}, pop {i}: popped size {size} exceeds queued size {next}"
                 );
             }
         }
         // Every admitted pop is a counted pair; skipped pops are counted as
         // dead skips and nothing else.
-        let admitted = trace.iter().filter(|p| p.admitted).count();
+        let admitted = pops
+            .iter()
+            .filter(|p| p.flag("admitted") == Some(true))
+            .count();
         assert_eq!(admitted, result.stats().pairs, "case {case}");
         assert_eq!(
-            trace.len() - admitted,
+            pops.len() - admitted,
             result.stats().pops_skipped_dead,
             "case {case}"
         );

@@ -104,12 +104,12 @@ pub struct DecisionKey {
 }
 
 impl DecisionKey {
-    /// Build the key for a decision call.  `CacheLimits`, the unfolding
-    /// budget, and the evaluation strategy are deliberately **not** part of
-    /// the key: none can change a verdict — the limits only govern whether
-    /// (and how cheaply) it is remembered, and every strategy computes the
-    /// same goal relation (the strategy differential suite locks this), so
-    /// verdicts are shared across strategies.
+    /// Build the key for a decision call.  The unfolding budget is
+    /// deliberately **not** part of the key: it either fails a decision
+    /// before any cache interaction or leaves the verdict unchanged.  Every
+    /// decision runs the min-subset schedule and the auto evaluation
+    /// strategy, so the stored instrumentation is the same whichever
+    /// request (`trace` included) computed it.
     pub fn new(program: &Program, goal: Pred, ucq: &Ucq, options: DecisionOptions) -> DecisionKey {
         DecisionKey {
             program: ProgramKey::of(program),

@@ -15,9 +15,9 @@
 
 use std::time::Instant;
 
-pub use automata::tree::containment::Schedule;
-
-use automata::tree::containment::{contained_in_with_sink, ContainmentOptions, TreeContainment};
+use automata::tree::containment::{
+    contained_in_with_sink, ContainmentOptions, Schedule, TreeContainment,
+};
 use automata::tree::ops::union as tree_union;
 use automata::tree::TreeAutomaton;
 use automata::word::containment::{contained_in as word_contained_in, WordContainment};
@@ -117,24 +117,6 @@ pub struct DecisionOptions {
     /// errors before any cache interaction or leaves the unfolding (and
     /// hence every verdict) unchanged.
     pub max_unfold: usize,
-    /// When set, install these per-segment capacity limits on the consulted
-    /// cache before deciding (see [`crate::cache::CacheLimits`]).  Like
-    /// `max_unfold`, this is **not** part of the cache key: limits govern
-    /// what the cache remembers, never what a decision answers — the
-    /// invariant `tests/cache_eviction_differential.rs` locks.
-    pub cache_limits: Option<crate::cache::CacheLimits>,
-    /// Evaluation strategy for the canonical-database checks run by the
-    /// `Π' ⊆ Π` direction ([`crate::cq_in_datalog`]).  All strategies
-    /// compute the same goal relation (the strategy differential suite locks
-    /// this), so like `cache_limits` this is **not** part of the cache key —
-    /// it changes how a verdict is computed, never what it is.
-    /// [`datalog::eval::Strategy::Magic`] evaluates goal-directed: the
-    /// fixpoint is restricted to facts relevant to the frozen head tuple.
-    /// The default is [`datalog::eval::Strategy::Auto`]: a per-check planner
-    /// pass resolves to magic when the adorned goal can prune the fixpoint
-    /// and to indexed otherwise (see
-    /// [`datalog::eval::resolve_auto_strategy`]).
-    pub strategy: Strategy,
 }
 
 impl Default for DecisionOptions {
@@ -145,8 +127,6 @@ impl Default for DecisionOptions {
             max_pairs: None,
             use_cache: true,
             max_unfold: usize::MAX,
-            cache_limits: None,
-            strategy: Strategy::Auto,
         }
     }
 }
@@ -236,15 +216,7 @@ pub fn datalog_contained_in_ucq_in(
     ucq: &Ucq,
     options: DecisionOptions,
 ) -> Result<ContainmentResult, DecisionError> {
-    decide_with_sink(
-        cache,
-        program,
-        goal,
-        ucq,
-        options,
-        Schedule::MinSubset,
-        &mut NoMetrics,
-    )
+    decide_with_sink(cache, program, goal, ucq, options, &mut NoMetrics)
 }
 
 /// Options for a traced decision ([`datalog_contained_in_ucq_traced`]).
@@ -254,10 +226,6 @@ pub struct TraceOptions {
     pub level: MetricsLevel,
     /// Keep at most this many events; the rest are counted as dropped.
     pub max_events: usize,
-    /// Worklist schedule for the tree-containment engine.  Verdicts are
-    /// schedule-independent (the scheduling differential tests lock this),
-    /// so exposing it here lets a trace compare the two orders.
-    pub schedule: Schedule,
 }
 
 impl Default for TraceOptions {
@@ -265,7 +233,6 @@ impl Default for TraceOptions {
         TraceOptions {
             level: MetricsLevel::Debug,
             max_events: 512,
-            schedule: Schedule::MinSubset,
         }
     }
 }
@@ -309,7 +276,6 @@ pub fn datalog_contained_in_ucq_traced(
         goal,
         ucq,
         options,
-        trace.schedule,
         &mut sink,
     )?;
     if sink.level() >= MetricsLevel::Debug {
@@ -326,7 +292,7 @@ pub fn datalog_contained_in_ucq_traced(
                 &cex.database,
                 &pattern,
                 datalog::eval::EvalOptions {
-                    strategy: options.strategy,
+                    strategy: Strategy::Auto,
                     ..Default::default()
                 },
                 &mut sink,
@@ -354,7 +320,6 @@ fn decide_with_sink<S: MetricsSink>(
     goal: Pred,
     ucq: &Ucq,
     options: DecisionOptions,
-    schedule: Schedule,
     sink: &mut S,
 ) -> Result<ContainmentResult, DecisionError> {
     if !program.predicates().contains(&goal) {
@@ -365,20 +330,17 @@ fn decide_with_sink<S: MetricsSink>(
     }
     let start = (sink.level() >= MetricsLevel::Counters).then(Instant::now);
     if options.use_cache {
-        if let Some(limits) = options.cache_limits {
-            cache.set_limits(limits);
-        }
         let key = crate::cache::DecisionKey::new(program, goal, ucq, options);
         if let Some(result) = cache.lookup_decision(&key) {
             finish_decision(sink, &result, true, options, start);
             return Ok(result);
         }
-        let result = decide_uncached(program, goal, ucq, options, schedule, sink)?;
+        let result = decide_uncached(program, goal, ucq, options, sink)?;
         cache.store_decision(key, &result);
         finish_decision(sink, &result, false, options, start);
         return Ok(result);
     }
-    let result = decide_uncached(program, goal, ucq, options, schedule, sink)?;
+    let result = decide_uncached(program, goal, ucq, options, sink)?;
     finish_decision(sink, &result, false, options, start);
     Ok(result)
 }
@@ -420,7 +382,6 @@ fn decide_uncached<S: MetricsSink>(
     goal: Pred,
     ucq: &Ucq,
     options: DecisionOptions,
-    schedule: Schedule,
     sink: &mut S,
 ) -> Result<ContainmentResult, DecisionError> {
     let start = Instant::now();
@@ -478,7 +439,7 @@ fn decide_uncached<S: MetricsSink>(
         ContainmentOptions {
             antichain: options.antichain,
             max_pairs: options.max_pairs,
-            schedule,
+            schedule: Schedule::MinSubset,
         },
         sink,
     );
@@ -819,7 +780,6 @@ mod tests {
             TraceOptions {
                 level: MetricsLevel::Trace,
                 max_events: usize::MAX,
-                ..TraceOptions::default()
             },
         )
         .unwrap();
@@ -867,41 +827,11 @@ mod tests {
             TraceOptions {
                 level: MetricsLevel::Trace,
                 max_events: 3,
-                ..TraceOptions::default()
             },
         )
         .unwrap();
         assert!(small.truncated);
         assert_eq!(small.events.len(), 3);
         assert!(small.dropped > 0);
-    }
-
-    #[test]
-    fn traced_decision_is_schedule_independent() {
-        let ucq = bounded_path_ucq_binary("e", 3);
-        let options = DecisionOptions {
-            use_cache: false,
-            allow_word_path: false,
-            ..DecisionOptions::default()
-        };
-        let verdicts: Vec<bool> = [Schedule::MinSubset, Schedule::Fifo]
-            .into_iter()
-            .map(|schedule| {
-                datalog_contained_in_ucq_traced(
-                    &tc(),
-                    Pred::new("p"),
-                    &ucq,
-                    options,
-                    TraceOptions {
-                        schedule,
-                        ..TraceOptions::default()
-                    },
-                )
-                .unwrap()
-                .result
-                .contained
-            })
-            .collect();
-        assert_eq!(verdicts[0], verdicts[1]);
     }
 }

@@ -84,22 +84,19 @@ pub fn cq_contained_in_datalog_with(
 /// As [`cq_contained_in_datalog`], memoised in the shared
 /// [`crate::cache::DecisionCache`] under a precomputed program key (so
 /// callers checking many disjuncts against the same program intern the
-/// program once).  The strategy only governs how a cache miss is computed —
-/// verdicts are strategy-independent, so it is not part of the cache key and
-/// hits are shared across strategies.
+/// program once).  A cache miss is computed under [`Strategy::Auto`].
 pub fn cq_contained_in_datalog_keyed(
     theta: &ConjunctiveQuery,
     program: &Program,
     program_key: &crate::cache::ProgramKey,
     goal: Pred,
-    strategy: Strategy,
 ) -> bool {
     let cache = crate::cache::DecisionCache::global();
     let key = cq::CqKey::of(theta);
     let (verdict, _) = cache.cq_in_datalog_cached(program_key, goal, &key, || {
         // Containment is invariant under canonicalisation; freeze the
         // canonical form carried by the key.
-        cq_contained_in_datalog_with(key.as_query(), program, goal, strategy)
+        cq_contained_in_datalog_with(key.as_query(), program, goal, Strategy::Auto)
     });
     verdict
 }

@@ -115,37 +115,29 @@ pub fn nonrecursive_contained_in_datalog(
     goal: Pred,
     program: &Program,
 ) -> Result<Result<(), usize>, EquivalenceError> {
-    nonrecursive_contained_in_datalog_with(
-        nonrecursive,
-        goal,
-        program,
-        true,
-        usize::MAX,
-        DecisionOptions::default().strategy,
-    )
+    nonrecursive_contained_in_datalog_with(nonrecursive, goal, program, true, usize::MAX)
 }
 
 /// As [`nonrecursive_contained_in_datalog`], with the per-disjunct
-/// canonical-database checks optionally bypassing the shared cache, the
-/// unfolding bounded by `max_unfold` disjuncts (`usize::MAX`: unbounded),
-/// and the evaluation strategy pinned (verdicts are strategy-independent;
-/// [`Strategy::Magic`] evaluates each check goal-directed).
+/// canonical-database checks optionally bypassing the shared cache and the
+/// unfolding bounded by `max_unfold` disjuncts (`usize::MAX`: unbounded).
+/// Every check evaluates under [`Strategy::Auto`]: the planner picks
+/// goal-directed (magic-set) evaluation when the adorned goal can prune.
 pub fn nonrecursive_contained_in_datalog_with(
     nonrecursive: &Program,
     goal: Pred,
     program: &Program,
     use_cache: bool,
     max_unfold: usize,
-    strategy: Strategy,
 ) -> Result<Result<(), usize>, EquivalenceError> {
     let unfolding = unfold_nonrecursive(nonrecursive, goal, max_unfold)?;
     let program_key = use_cache.then(|| crate::cache::ProgramKey::of(program));
     for (index, disjunct) in unfolding.disjuncts.iter().enumerate() {
         let contained = match &program_key {
-            Some(key) => crate::cq_in_datalog::cq_contained_in_datalog_keyed(
-                disjunct, program, key, goal, strategy,
-            ),
-            None => cq_contained_in_datalog_with(disjunct, program, goal, strategy),
+            Some(key) => {
+                crate::cq_in_datalog::cq_contained_in_datalog_keyed(disjunct, program, key, goal)
+            }
+            None => cq_contained_in_datalog_with(disjunct, program, goal, Strategy::Auto),
         };
         if !contained {
             return Ok(Err(index));
@@ -207,7 +199,6 @@ pub fn equivalent_to_nonrecursive_with(
         program,
         options.use_cache,
         options.max_unfold,
-        options.strategy,
     )? {
         return Ok(EquivalenceResult {
             verdict: EquivalenceVerdict::NonrecursiveExceeds(index),

@@ -65,7 +65,7 @@ pub mod unify;
 pub use cache::{CacheLimits, CacheSizes, CacheStats, DecisionCache, ProgramKey};
 pub use containment::{
     datalog_contained_in_ucq, datalog_contained_in_ucq_traced, ContainmentResult, Counterexample,
-    DecisionOptions, Schedule, TraceOptions, TracedDecision,
+    DecisionOptions, TraceOptions, TracedDecision,
 };
 pub use cq_in_datalog::{
     cq_contained_in_datalog, cq_contained_in_datalog_with, ucq_contained_in_datalog,

@@ -93,11 +93,6 @@ impl ConjunctiveQuery {
             .collect()
     }
 
-    /// The predicates occurring in the body.
-    pub fn body_predicates(&self) -> BTreeSet<Pred> {
-        self.body.iter().map(|a| a.pred).collect()
-    }
-
     /// Number of body atoms.
     pub fn body_size(&self) -> usize {
         self.body.len()

@@ -54,7 +54,22 @@ pub fn minimize_cq_with(
 /// Minimise a union of conjunctive queries: minimise every disjunct, then
 /// drop disjuncts that are contained in another disjunct.
 pub fn minimize_ucq(ucq: &Ucq) -> Ucq {
-    let minimized: Vec<ConjunctiveQuery> = ucq.disjuncts.iter().map(minimize_cq).collect();
+    minimize_ucq_with(ucq, &mut crate::containment::cq_contained_in)
+}
+
+/// As [`minimize_ucq`], but deciding containment through a caller-supplied
+/// oracle (`contained(a, b)` must answer "is `a` contained in `b`?");
+/// equivalence, for the per-disjunct cores, is containment both ways.  The
+/// server's `minimize` verb passes a counting, cache-backed oracle here.
+pub fn minimize_ucq_with(
+    ucq: &Ucq,
+    contained: &mut dyn FnMut(&ConjunctiveQuery, &ConjunctiveQuery) -> bool,
+) -> Ucq {
+    let minimized: Vec<ConjunctiveQuery> = ucq
+        .disjuncts
+        .iter()
+        .map(|d| minimize_cq_with(d, &mut |a, b| contained(a, b) && contained(b, a)))
+        .collect();
     let mut keep: Vec<bool> = vec![true; minimized.len()];
     for i in 0..minimized.len() {
         if !keep[i] {
@@ -66,8 +81,8 @@ pub fn minimize_ucq(ucq: &Ucq) -> Ucq {
             }
             // Drop disjunct i if it is contained in a (still kept) disjunct
             // j.  Break equivalence ties by index so exactly one survives.
-            if crate::containment::cq_contained_in(&minimized[i], &minimized[j]) {
-                let equivalent = crate::containment::cq_contained_in(&minimized[j], &minimized[i]);
+            if contained(&minimized[i], &minimized[j]) {
+                let equivalent = contained(&minimized[j], &minimized[i]);
                 if !equivalent || j < i {
                     keep[i] = false;
                     break;

@@ -85,7 +85,8 @@ impl Strategy {
         Strategy::Auto,
     ];
 
-    /// The stable wire/CLI name of the strategy.
+    /// The stable name of the strategy, as trace events and bench rows
+    /// print it.
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Naive => "naive",
@@ -93,19 +94,6 @@ impl Strategy {
             Strategy::Indexed => "indexed",
             Strategy::Magic => "magic",
             Strategy::Auto => "auto",
-        }
-    }
-
-    /// Parse a wire/CLI strategy name (the inverse of [`Strategy::name`];
-    /// `semi-naive` is accepted as an alias).
-    pub fn parse(name: &str) -> Option<Strategy> {
-        match name {
-            "naive" => Some(Strategy::Naive),
-            "semi_naive" | "semi-naive" => Some(Strategy::SemiNaive),
-            "indexed" => Some(Strategy::Indexed),
-            "magic" => Some(Strategy::Magic),
-            "auto" => Some(Strategy::Auto),
-            _ => None,
         }
     }
 }
@@ -1128,15 +1116,6 @@ mod tests {
         let db = chain(2);
         let r = evaluate(&tc(), &db);
         assert!(r.database.contains(&Fact::app("e", ["c0", "c1"])));
-    }
-
-    #[test]
-    fn strategy_names_round_trip() {
-        for strategy in Strategy::ALL {
-            assert_eq!(Strategy::parse(strategy.name()), Some(strategy));
-        }
-        assert_eq!(Strategy::parse("semi-naive"), Some(Strategy::SemiNaive));
-        assert_eq!(Strategy::parse("nonsense"), None);
     }
 
     fn bound_goal(n: usize) -> Atom {

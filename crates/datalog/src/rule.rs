@@ -55,18 +55,6 @@ impl Rule {
         out
     }
 
-    /// All distinct variables occurring in the body.
-    pub fn body_variables(&self) -> Vec<Var> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for v in self.body.iter().flat_map(|a| a.variables()) {
-            if seen.insert(v) {
-                out.push(v);
-            }
-        }
-        out
-    }
-
     /// Number of distinct variables occurring in atoms whose predicate
     /// satisfies `is_idb` (head or body).  This is `varnum(r)` from
     /// Section 5.1 when `is_idb` selects the IDB predicates of the program.

@@ -9,7 +9,7 @@
 //! Datalog parsing happens here (on a worker thread), not on the
 //! connection threads, so a slow parse cannot stall the read loop.
 
-use cq::minimize::minimize_cq_with;
+use cq::minimize::minimize_ucq_with;
 use cq::{ConjunctiveQuery, CqKey, Ucq};
 use datalog::atom::Pred;
 use datalog::parser::parse_program;
@@ -53,14 +53,12 @@ pub const DEFAULT_MAX_UNFOLD: usize = 20_000;
 pub const MAX_BOUNDED_DEPTH: usize = 32;
 
 fn decision_options(options: RequestOptions) -> DecisionOptions {
-    let defaults = DecisionOptions::default();
     DecisionOptions {
         allow_word_path: options.allow_word_path,
         use_cache: options.use_cache,
         max_pairs: Some(options.max_pairs.unwrap_or(DEFAULT_MAX_PAIRS)),
         max_unfold: DEFAULT_MAX_UNFOLD,
-        strategy: options.strategy.unwrap_or(defaults.strategy),
-        ..defaults
+        ..DecisionOptions::default()
     }
 }
 
@@ -168,10 +166,6 @@ impl MinimizeOracle {
             cq::containment::cq_contained_in(theta, psi)
         }
     }
-
-    fn equivalent(&mut self, a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
-        self.contained(a, b) && self.contained(b, a)
-    }
 }
 
 /// Execute one non-batch, non-stats command, producing the `result` payload
@@ -211,7 +205,6 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
             query,
             level,
             max_events,
-            schedule,
             options,
         } => {
             let program = parse_program_field("program", program)?;
@@ -219,7 +212,6 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
             let trace = TraceOptions {
                 level: *level,
                 max_events: *max_events,
-                schedule: schedule.unwrap_or_default(),
             };
             let traced = datalog_contained_in_ucq_traced(
                 &program,
@@ -433,52 +425,13 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
                 ));
             }
             let mut oracle = MinimizeOracle::new(options.use_cache);
-            // Mirror `cq::minimize::minimize_ucq` exactly (the differential
-            // oracle), but decide containment through `oracle`: minimise
-            // every disjunct to its core, then drop a disjunct contained in
-            // another kept disjunct, breaking equivalence ties by index.
-            let minimized: Vec<ConjunctiveQuery> = ucq
-                .disjuncts
-                .iter()
-                .map(|d| minimize_cq_with(d, &mut |a, b| oracle.equivalent(a, b)))
-                .collect();
-            let mut keep = vec![true; minimized.len()];
-            for i in 0..minimized.len() {
-                if !keep[i] {
-                    continue;
-                }
-                for j in 0..minimized.len() {
-                    if i == j || !keep[j] {
-                        continue;
-                    }
-                    if oracle.contained(&minimized[i], &minimized[j]) {
-                        let equivalent = oracle.contained(&minimized[j], &minimized[i]);
-                        if !equivalent || j < i {
-                            keep[i] = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            let kept: Vec<String> = minimized
-                .iter()
-                .zip(&keep)
-                .filter(|(_, k)| **k)
-                .map(|(q, _)| q.to_string())
-                .collect();
-            let atoms_after: usize = minimized
-                .iter()
-                .zip(&keep)
-                .filter(|(_, k)| **k)
-                .map(|(q, _)| q.body.len())
-                .sum();
+            let minimized = minimize_ucq_with(&ucq, &mut |a, b| oracle.contained(a, b));
+            let kept: Vec<String> = minimized.disjuncts.iter().map(|q| q.to_string()).collect();
+            let atoms_after: usize = minimized.disjuncts.iter().map(|q| q.body.len()).sum();
             Ok(obj(vec![
                 ("query", Value::str(kept.join("\n"))),
                 ("disjuncts_before", Value::num(ucq.len() as f64)),
-                (
-                    "disjuncts_after",
-                    Value::num(keep.iter().filter(|k| **k).count() as f64),
-                ),
+                ("disjuncts_after", Value::num(minimized.len() as f64)),
                 ("atoms_before", Value::num(atoms as f64)),
                 ("atoms_after", Value::num(atoms_after as f64)),
                 ("containment_calls", Value::num(oracle.calls as f64)),
@@ -882,25 +835,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, "resource_limit");
         assert!(err.message.contains("atoms"));
-    }
-
-    #[test]
-    fn strategy_option_changes_no_verdict() {
-        // The same equivalence request under every strategy name must give
-        // one verdict; `no_cache` keeps each run on the uncached path so
-        // the magic run actually evaluates rather than recalling a verdict
-        // the indexed run stored.
-        for strategy in ["naive", "semi_naive", "indexed", "magic", "auto"] {
-            let result = run(&format!(
-                r#"{{"op":"equivalence","program":"buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), buys(Z, Y).","goal":"buys","candidate":"buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), likes(Z, Y).","options":{{"no_cache":true,"strategy":"{strategy}"}}}}"#,
-            ))
-            .unwrap();
-            assert_eq!(
-                result.get("equivalent").unwrap().as_bool(),
-                Some(true),
-                "verdict drifted under strategy {strategy}"
-            );
-        }
     }
 
     #[test]

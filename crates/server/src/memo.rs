@@ -341,7 +341,6 @@ mod tests {
             r#"{"op":"bounded","program":"p(X) :- e(X, Y).","goal":"p","max_depth":2}"#,
             r#"{"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":3}"#,
             r#"{"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2,"options":{"max_pairs":7}}"#,
-            r#"{"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2,"options":{"strategy":"magic"}}"#,
         ];
         let base_key = memo_key(&command_of(base)).unwrap();
         for variant in variants {

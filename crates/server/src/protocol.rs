@@ -30,10 +30,8 @@
 //! `snapshot_error`).  `docs/WIRE_PROTOCOL.md` documents every field of
 //! every verb, with one request/response example each.
 
-use datalog::eval::Strategy;
 use metrics::MetricsLevel;
 use nonrec_equivalence::cache::CacheLimits;
-use nonrec_equivalence::containment::Schedule;
 
 use crate::json::{obj, Value};
 
@@ -86,13 +84,6 @@ pub struct RequestOptions {
     pub max_pairs: Option<usize>,
     /// Per-request deadline override, in milliseconds.
     pub timeout_ms: Option<u64>,
-    /// Evaluation strategy for the canonical-database checks
-    /// (`"strategy": "naive" | "semi_naive" | "indexed" | "magic" |
-    /// "auto"`); `None` keeps the engine default (auto: a planner pass
-    /// picks magic when the adorned goal can prune, indexed otherwise).
-    /// Verdicts are strategy-independent, so this never changes an answer —
-    /// the strategy is the latency knob.
-    pub strategy: Option<Strategy>,
     /// Attach the witness proof tree as structured JSON to any
     /// counterexample (`"provenance": true`).  Only the `containment`,
     /// `trace`, and `equivalence` verbs produce counterexamples; elsewhere
@@ -107,7 +98,6 @@ impl Default for RequestOptions {
             allow_word_path: true,
             max_pairs: None,
             timeout_ms: None,
-            strategy: None,
             provenance: false,
         }
     }
@@ -206,10 +196,6 @@ pub enum Command {
         /// Keep at most this many events; the rest are counted in the
         /// response's `dropped` field and flagged by `truncated`.
         max_events: usize,
-        /// Worklist schedule for the tree engine (`"min_subset"` or
-        /// `"fifo"`); verdicts are schedule-independent, so this only
-        /// reorders the trace.  `None` keeps the engine default.
-        schedule: Option<Schedule>,
         /// Decision knobs.
         options: RequestOptions,
     },
@@ -391,40 +377,17 @@ fn parse_level(value: &Value) -> Result<MetricsLevel, WireError> {
     }
 }
 
-/// Parse the optional `schedule` field of a `trace` request.
-fn parse_schedule(value: &Value) -> Result<Option<Schedule>, WireError> {
-    match optional_str(value, "schedule")? {
-        None => Ok(None),
-        Some(name) => match name.as_str() {
-            "min_subset" => Ok(Some(Schedule::MinSubset)),
-            "fifo" => Ok(Some(Schedule::Fifo)),
-            _ => Err(WireError::bad_request(format!(
-                "unknown schedule `{name}` (expected min_subset or fifo)"
-            ))),
-        },
-    }
-}
-
 fn parse_options(value: &Value) -> Result<RequestOptions, WireError> {
     let options = match value.get("options") {
         None | Some(Value::Null) => return Ok(RequestOptions::default()),
         Some(v @ Value::Obj(_)) => v,
         Some(_) => return Err(WireError::bad_request("field `options` must be an object")),
     };
-    let strategy = match optional_str(options, "strategy")? {
-        None => None,
-        Some(name) => Some(Strategy::parse(&name).ok_or_else(|| {
-            WireError::bad_request(format!(
-                "unknown strategy `{name}` (expected naive, semi_naive, indexed, magic, or auto)"
-            ))
-        })?),
-    };
     Ok(RequestOptions {
         use_cache: !optional_bool(options, "no_cache")?,
         allow_word_path: !optional_bool(options, "no_word_path")?,
         max_pairs: optional_u64(options, "max_pairs")?.map(|n| n as usize),
         timeout_ms: optional_u64(options, "timeout_ms")?,
-        strategy,
         provenance: optional_bool(options, "provenance")?,
     })
 }
@@ -487,7 +450,6 @@ pub fn parse_request(value: &Value, allow_batch: bool) -> Result<Request, WireEr
                 query: required_str(value, "query")?,
                 level: parse_level(value)?,
                 max_events,
-                schedule: parse_schedule(value)?,
                 options: parse_options(value)?,
             }
         }
@@ -772,52 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_option_parses_and_rejects_unknown_names() {
-        let v = parse(
-            r#"{"op":"equivalence","program":"p.","goal":"p","candidate":"p.",
-                "options":{"strategy":"magic"}}"#,
-        )
-        .unwrap();
-        match parse_request(&v, true).unwrap().command {
-            Command::Equivalence { options, .. } => {
-                assert_eq!(options.strategy, Some(Strategy::Magic));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // The hyphenated alias is accepted; garbage is a bad_request.
-        let v = parse(
-            r#"{"op":"containment","program":"p.","goal":"p","query":"q.",
-                "options":{"strategy":"semi-naive"}}"#,
-        )
-        .unwrap();
-        match parse_request(&v, true).unwrap().command {
-            Command::Containment { options, .. } => {
-                assert_eq!(options.strategy, Some(Strategy::SemiNaive));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        let v = parse(
-            r#"{"op":"containment","program":"p.","goal":"p","query":"q.",
-                "options":{"strategy":"auto"}}"#,
-        )
-        .unwrap();
-        match parse_request(&v, true).unwrap().command {
-            Command::Containment { options, .. } => {
-                assert_eq!(options.strategy, Some(Strategy::Auto));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        let v = parse(
-            r#"{"op":"containment","program":"p.","goal":"p","query":"q.",
-                "options":{"strategy":"voodoo"}}"#,
-        )
-        .unwrap();
-        let err = parse_request(&v, true).unwrap_err();
-        assert_eq!(err.code, "bad_request");
-        assert!(err.message.contains("voodoo"));
-    }
-
-    #[test]
     fn minimize_and_rewrite_parse_and_stay_batchable() {
         let v = parse(r#"{"op":"minimize","query":"q(X) :- e(X, Y), e(X, Z)."}"#).unwrap();
         let req = parse_request(&v, true).unwrap();
@@ -891,45 +807,41 @@ mod tests {
     #[test]
     fn trace_parses_levels_and_refuses_batching() {
         let v = parse(
-            r#"{"op":"trace","program":"p(X) :- e(X, X).","goal":"p","query":"q(X) :- e(X, X).","level":"trace","max_events":9,"schedule":"fifo"}"#,
+            r#"{"op":"trace","program":"p(X) :- e(X, X).","goal":"p","query":"q(X) :- e(X, X).","level":"trace","max_events":9}"#,
         )
         .unwrap();
         match parse_request(&v, true).unwrap().command {
             Command::Trace {
-                level,
-                max_events,
-                schedule,
-                ..
+                level, max_events, ..
             } => {
                 assert_eq!(level, MetricsLevel::Trace);
                 assert_eq!(max_events, 9);
-                assert_eq!(schedule, Some(Schedule::Fifo));
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Defaults: debug level, 512-event budget, engine-default schedule.
+        // Defaults: debug level, 512-event budget.
         let v = parse(r#"{"op":"trace","program":"p.","goal":"p","query":"q."}"#).unwrap();
-        match parse_request(&v, true).unwrap().command {
+        let defaults = parse_request(&v, true).unwrap().command;
+        match &defaults {
             Command::Trace {
-                level,
-                max_events,
-                schedule,
-                ..
+                level, max_events, ..
             } => {
-                assert_eq!(level, MetricsLevel::Debug);
-                assert_eq!(max_events, 512);
-                assert_eq!(schedule, None);
+                assert_eq!(*level, MetricsLevel::Debug);
+                assert_eq!(*max_events, 512);
             }
             other => panic!("wrong command {other:?}"),
         }
-        // Unknown level / schedule / oversized budget are bad_request.
-        for bad in [
-            r#"{"op":"trace","program":"p.","goal":"p","query":"q.","level":"verbose"}"#,
-            r#"{"op":"trace","program":"p.","goal":"p","query":"q.","schedule":"lifo"}"#,
-        ] {
-            let err = parse_request(&parse(bad).unwrap(), true).unwrap_err();
-            assert_eq!(err.code, "bad_request", "for {bad}");
-        }
+        // No key selects an engine: `schedule` and `options.strategy` are
+        // ignored like any unknown key.
+        let v = parse(
+            r#"{"op":"trace","program":"p.","goal":"p","query":"q.","schedule":"lifo","options":{"strategy":"voodoo"}}"#,
+        )
+        .unwrap();
+        assert_eq!(parse_request(&v, true).unwrap().command, defaults);
+        // An unknown level or an oversized budget is a bad_request.
+        let bad = r#"{"op":"trace","program":"p.","goal":"p","query":"q.","level":"verbose"}"#;
+        let err = parse_request(&parse(bad).unwrap(), true).unwrap_err();
+        assert_eq!(err.code, "bad_request", "for {bad}");
         let oversized = format!(
             r#"{{"op":"trace","program":"p.","goal":"p","query":"q.","max_events":{}}}"#,
             MAX_TRACE_EVENTS + 1

@@ -73,11 +73,6 @@ impl NonrecEncoding {
     pub fn cells_per_configuration(&self) -> usize {
         1usize << (1usize << self.n)
     }
-
-    /// The number of address bits per cell (`2^n`).
-    pub fn bits_per_cell(&self) -> usize {
-        1usize << self.n
-    }
 }
 
 fn v(name: &str) -> Term {

@@ -12,10 +12,15 @@
 # Stages:
 #     fmt          cargo fmt --all --check
 #     build        cargo build --release --all-targets
-#     perfbench    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+#     perfbench    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 #                  (the repository benchmark is its own Cargo workspace that
-#                  imports library items; a change that breaks it fails
-#                  here, not in a benchmark run)
+#                  imports library items; its self-tests build the benchmark
+#                  binary and run two `--pass-only` traced passes, which are
+#                  `correct` only when every answer in its verdict table is
+#                  right and the 10% phase-sum gate holds — so a change that
+#                  breaks the benchmark's imports, or makes `core.decide`
+#                  drift from the benchmark's rebuilt decision, fails here,
+#                  not in a benchmark run)
 #     test         cargo test -q
 #     soak         NONREC_SOAK_FAST=1 cargo test --release --test server_soak
 #                  (bounded-cache server under 4-client eviction churn:
@@ -76,7 +81,7 @@ stage_build() {
 }
 
 stage_perfbench() {
-    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_test() {

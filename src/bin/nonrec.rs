@@ -15,10 +15,6 @@
 //!     --no-word-path    disable the word-automata fast path
 //!     --no-cache        bypass the shared decision cache
 //!     --max-pairs <N>   abort tree containment after N product pairs
-//!     --strategy <S>    evaluation strategy for canonical-database checks:
-//!                       naive | semi_naive | indexed | magic | auto
-//!                       (default: auto — a planner pass picks magic when
-//!                       the adorned goal can prune, indexed otherwise)
 //!     --trace-level <L> re-run the program ⊆ candidate direction with a
 //!                       recording metrics sink and print its events:
 //!                       off | counters | debug | trace (default: off)
@@ -53,7 +49,6 @@ struct Args {
 fn usage() -> &'static str {
     "usage: nonrec --program <FILE> --goal <PRED> --candidate <FILE> \
      [--stats] [--no-word-path] [--no-cache] [--max-pairs <N>] \
-     [--strategy <naive|semi_naive|indexed|magic|auto>] \
      [--trace-level <off|counters|debug|trace>]"
 }
 
@@ -92,14 +87,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, ArgsError>
                     n.parse()
                         .map_err(|_| ArgsError::Bad(format!("invalid --max-pairs: {n}")))?,
                 );
-            }
-            "--strategy" => {
-                let name = argv.next().ok_or("--strategy needs a name")?;
-                options.strategy = datalog::eval::Strategy::parse(&name).ok_or_else(|| {
-                    ArgsError::Bad(format!(
-                        "invalid --strategy: {name} (expected naive, semi_naive, indexed, magic, or auto)"
-                    ))
-                })?;
             }
             "--trace-level" => {
                 let name = argv.next().ok_or("--trace-level needs a level")?;

@@ -771,7 +771,7 @@ const CHAIN_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).";
 /// the tree engine (a chain decision would otherwise take the word path,
 /// whose trace has no pops); `no_cache` keeps repeats on the uncached path
 /// so every run records a full trace.
-fn chain_trace_request(level: &str, max_events: Option<u64>, schedule: Option<&str>) -> Value {
+fn chain_trace_request(level: &str, max_events: Option<u64>) -> Value {
     let mut fields = vec![
         ("op", Value::str("trace")),
         ("program", Value::str(CHAIN_TC)),
@@ -789,10 +789,19 @@ fn chain_trace_request(level: &str, max_events: Option<u64>, schedule: Option<&s
     if let Some(n) = max_events {
         fields.push(("max_events", Value::num(n as f64)));
     }
-    if let Some(s) = schedule {
-        fields.push(("schedule", Value::str(s)));
-    }
     obj(fields)
+}
+
+/// Send one request and return its `result`, asserting it succeeded.
+fn ok(client: &mut Client, request: &Value) -> Value {
+    let response = client.request(request).expect("request");
+    assert_eq!(
+        response.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "got {}",
+        response.render()
+    );
+    response.get("result").unwrap().clone()
 }
 
 fn event_kinds(result: &Value) -> Vec<String> {
@@ -820,7 +829,7 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
 
     // A full-detail trace of a chain containment decision.
     let response = client
-        .request(&chain_trace_request("trace", None, None))
+        .request(&chain_trace_request("trace", None))
         .expect("trace request");
     assert_eq!(
         response.get("ok").and_then(Value::as_bool),
@@ -851,7 +860,7 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
 
     // The budget truncates and says so.
     let response = client
-        .request(&chain_trace_request("trace", Some(4), None))
+        .request(&chain_trace_request("trace", Some(4)))
         .expect("budgeted trace");
     let result = response.get("result").unwrap();
     assert_eq!(result.get("truncated").and_then(Value::as_bool), Some(true));
@@ -863,7 +872,7 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
 
     // An unknown level is a bad_request, with the connection surviving.
     let response = client
-        .request(&chain_trace_request("verbose", None, None))
+        .request(&chain_trace_request("verbose", None))
         .expect("bad-level trace");
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
     assert_eq!(
@@ -877,7 +886,7 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
     // `trace` may not hide inside a batch.
     let response = client
         .request(&protocol::batch_request(vec![chain_trace_request(
-            "counters", None, None,
+            "counters", None,
         )]))
         .expect("batched trace");
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
@@ -890,37 +899,92 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
     );
 }
 
-/// Verdict (and counterexample) identity across the two worklist
-/// schedules: the trace is allowed to reorder, the decision is not.
+/// No request key selects an engine: `trace`'s `schedule` and
+/// `options.strategy` are ignored like any unknown key.  The shared cache
+/// stores decision stats, so a `"schedule":"fifo"` trace must store what a
+/// plain `containment` computes, and a `"strategy":"naive"` equivalence
+/// must answer as the plain request does without running the naive
+/// evaluator.
 #[test]
-fn trace_verdicts_are_schedule_independent() {
+fn removed_engine_selectors_change_no_answer_and_no_cached_stats() {
+    const NONLINEAR_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).";
+    const QUERY: &str = "q(X, Y) :- e(X, Y).\nq(X, Y) :- e(X, Z), e(Z, Y).";
+    const CANDIDATE: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), e(Z, Y).";
+
+    fn with(mut request: Value, extra: Vec<(&str, Value)>) -> Value {
+        if let Value::Obj(fields) = &mut request {
+            fields.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
+        }
+        request
+    }
+    /// The `stats` object of a decision result, minus its wall-clock time.
+    fn stats_without_micros(result: &Value) -> Value {
+        match result.get("stats") {
+            Some(Value::Obj(fields)) => Value::Obj(
+                fields
+                    .iter()
+                    .filter(|(k, _)| k != "micros")
+                    .cloned()
+                    .collect(),
+            ),
+            other => panic!("no stats object: {other:?}"),
+        }
+    }
+    fn naive_decisions(client: &mut Client) -> u64 {
+        ok(client, &protocol::stats_request())
+            .get("strategy_decisions")
+            .and_then(|b| b.get("naive"))
+            .and_then(Value::as_u64)
+            .expect("stats.strategy_decisions.naive")
+    }
+
     let server = ServerProc::spawn(&[]);
     let mut client = server.client();
-    let min_subset = client
-        .request(&chain_trace_request("debug", None, Some("min_subset")))
-        .expect("min_subset trace");
-    let fifo = client
-        .request(&chain_trace_request("debug", None, Some("fifo")))
-        .expect("fifo trace");
-    for response in [&min_subset, &fifo] {
-        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
-    }
-    let verdict = |r: &Value| {
-        (
-            r.get("result")
-                .and_then(|v| v.get("contained"))
-                .and_then(Value::as_bool),
-            r.get("result")
-                .and_then(|v| v.get("counterexample"))
-                .and_then(|c| c.get("expansion"))
-                .and_then(Value::as_str)
-                .map(str::to_string),
+
+    let containment = protocol::containment_request(NONLINEAR_TC, "p", QUERY);
+    let fifo_trace = with(
+        protocol::trace_request(NONLINEAR_TC, "p", QUERY, "counters"),
+        vec![("schedule", Value::str("fifo"))],
+    );
+    ok(&mut client, &fifo_trace);
+    let cached = ok(&mut client, &containment);
+    let fresh = ok(
+        &mut client,
+        &with(
+            containment,
+            vec![("options", obj(vec![("no_cache", Value::Bool(true))]))],
+        ),
+    );
+    assert_eq!(cached.get("contained"), fresh.get("contained"));
+    assert_eq!(
+        stats_without_micros(&cached),
+        stats_without_micros(&fresh),
+        "cached stats must not depend on an earlier trace's schedule"
+    );
+
+    let equivalence = |options: Vec<(&str, Value)>| {
+        with(
+            protocol::equivalence_request(NONLINEAR_TC, "p", CANDIDATE),
+            vec![("options", obj(options))],
         )
     };
+    let plain = ok(
+        &mut client,
+        &equivalence(vec![("no_cache", Value::Bool(true))]),
+    );
+    let naive_before = naive_decisions(&mut client);
+    let selected = ok(
+        &mut client,
+        &equivalence(vec![
+            ("strategy", Value::str("naive")),
+            ("no_cache", Value::Bool(true)),
+        ]),
+    );
+    assert_eq!(selected.get("verdict"), plain.get("verdict"));
     assert_eq!(
-        verdict(&min_subset),
-        verdict(&fifo),
-        "verdicts must not depend on the worklist schedule"
+        naive_decisions(&mut client),
+        naive_before,
+        "`options.strategy` must not reach the evaluator"
     );
 }
 
@@ -934,7 +998,7 @@ fn pipelined_trace_responses_correlate_by_id() {
     let mut requests = Vec::new();
     for id in 0..12u64 {
         let mut request = if id % 2 == 0 {
-            chain_trace_request("debug", None, None)
+            chain_trace_request("debug", None)
         } else {
             protocol::containment_request(CHAIN_TC, "p", "q(X, Y) :- e(X, Y).")
         };
@@ -1207,16 +1271,6 @@ fn stats_and_metrics_text_render_one_registry_that_counts_traces() {
     const NONLINEAR_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).";
     const QUERY: &str = "q(X, Y) :- e(X, Y).";
 
-    fn ok(client: &mut Client, request: &Value) -> Value {
-        let response = client.request(request).expect("request");
-        assert_eq!(
-            response.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "got {}",
-            response.render()
-        );
-        response.get("result").unwrap().clone()
-    }
     fn metrics(client: &mut Client) -> Value {
         ok(client, &protocol::stats_request())
             .get("metrics")

@@ -368,13 +368,6 @@ fn parallel_ucq_evaluation_matches_sequential_on_lower_bound_queries() {
 #[test]
 fn default_paths_are_the_optimized_ones_and_stay_locked() {
     assert_eq!(EvalOptions::default().strategy, Strategy::Indexed);
-    // The decision procedures, by contrast, default to the planner: their
-    // goals are frozen head tuples (fully bound), exactly the shape the
-    // auto heuristic can win on.
-    assert_eq!(
-        nonrec_equivalence::containment::DecisionOptions::default().strategy,
-        Strategy::Auto
-    );
     let ucq = cq::generate::bounded_path_ucq_binary("e", 6);
     let db = random_database(
         &RandomDatabaseConfig {

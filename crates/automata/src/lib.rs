@@ -10,8 +10,10 @@
 //! * [`tree`] — nondeterministic top-down tree automata: boolean operations
 //!   (Prop. 4.4), linear-time emptiness with witness extraction
 //!   (Prop. 4.5), bottom-up determinization / complementation, and
-//!   containment with antichain optimisation (Prop. 4.6), used for
-//!   arbitrary Datalog programs.
+//!   containment with antichain optimisation (Prop. 4.6): one min-subset
+//!   worklist search, with plain rounds as its reference oracle
+//!   ([`tree::containment::Schedule`]), used for arbitrary Datalog
+//!   programs.
 //!
 //! Both modules are independent of Datalog: states are dense integers and
 //! alphabets are generic, so the automata can be reused for any
@@ -19,7 +21,7 @@
 //!
 //! ```
 //! use automata::tree::{Tree, TreeAutomaton};
-//! use automata::tree::containment::contained_in;
+//! use automata::tree::containment::{contained_in_with, ContainmentOptions};
 //!
 //! // Trees of binary 'a' nodes over 'b' leaves …
 //! let mut all = TreeAutomaton::new(1);
@@ -31,8 +33,9 @@
 //! just_leaf.add_initial(0);
 //! just_leaf.add_transition(0, 'b', vec![]);
 //!
-//! assert!(contained_in(&just_leaf, &all).is_contained());
-//! let refutation = contained_in(&all, &just_leaf);
+//! let options = ContainmentOptions::default();
+//! assert!(contained_in_with(&just_leaf, &all, options).is_contained());
+//! let refutation = contained_in_with(&all, &just_leaf, options);
 //! assert!(refutation.witness().unwrap().height() > 1);
 //! ```
 

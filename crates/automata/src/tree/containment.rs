@@ -15,8 +15,8 @@
 //! `s` initial in `A1` and `S` containing no initial state of `A2`
 //! corresponds to a tree accepted by `A1` and rejected by `A2`.
 //!
-//! The default engine ([`contained_in_with`]) is **interned, memoised, and
-//! worklist-driven**:
+//! The engine ([`contained_in_with`], or [`contained_in_with_sink`] to
+//! observe it) is **interned, memoised, and worklist-driven**:
 //!
 //! * subsets `S` are interned into a [`SubsetArena`], so pairs carry compact
 //!   `Copy` ids and subset equality is id equality;
@@ -31,10 +31,10 @@
 //!   child entry keys) instead of cloning a witness `Tree` per combination;
 //!   the witness is reconstructed only when a counterexample is reported.
 //!
-//! The pre-existing plain-rounds engine is kept verbatim as
-//! [`contained_in_rounds_with`]: it is the uncached reference oracle the
-//! differential tests lock the worklist engine against, exactly as
-//! `Strategy::Naive` anchors the indexed evaluation engine.
+//! The plain-rounds engine is kept as [`Schedule::Rounds`]: it is the
+//! uncached reference oracle the differential tests lock the worklist
+//! engine against, exactly as `Strategy::Naive` anchors the indexed
+//! evaluation engine.
 //!
 //! The optional **antichain optimisation** keeps, for each `s`, only the
 //! ⊆-minimal subsets `S`: the subset computation is monotone, so smaller
@@ -43,11 +43,11 @@
 //! technique for automata inclusion and is one of the ablations called out
 //! in DESIGN.md.
 //!
-//! **Scheduling** decides how much the antichain actually prunes.  The
-//! original engine drained its worklist FIFO, which derives transient
-//! dominated pairs that a ⊆-minimal pair discovered later retroactively
-//! kills — work the rounds engine's level order never does.  The default
-//! schedule ([`Schedule::MinSubset`]) therefore holds *candidate* pairs in
+//! **Scheduling** decides how much the antichain actually prunes.  Draining
+//! the worklist first-in-first-out derives transient dominated pairs that a
+//! ⊆-minimal pair discovered later retroactively kills — work the rounds
+//! engine's level order never does.  The worklist ([`Schedule::MinSubset`])
+//! therefore holds *candidate* pairs in
 //! a priority frontier ordered by subset size (smallest first, state id
 //! then arrival order as deterministic tie-breaks) and admits a candidate
 //! into the antichain only when it is popped: by then every ⊆-smaller
@@ -55,11 +55,10 @@
 //! discarded at the pop ([`EngineStats::pops_skipped_dead`]) instead of
 //! being expanded.  This is the antichain-checking insight of De Wulf /
 //! Doyen / Henzinger / Raskin: establish minimal elements first and the
-//! dominated ones are never explored at all.  [`Schedule::Fifo`] keeps the
-//! PR-3 behaviour as an in-tree comparator for the bench ablation.
+//! dominated ones are never explored at all.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::time::Instant;
 
 use metrics::{Event, FieldValue, MetricsLevel, MetricsSink, NoMetrics};
@@ -69,15 +68,15 @@ use super::ops::{complement, intersection, BottomUpDeterministic};
 use super::subset::{SubsetArena, SubsetId};
 use super::{State, Tree, TreeAutomaton};
 
-/// How the worklist engine orders the pairs it has derived but not yet
-/// expanded.
+/// How the search orders the pairs it has derived but not yet expanded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Schedule {
-    /// Drain the worklist first-in-first-out.  Pairs are admitted into the
-    /// antichain the moment they are derived, so a ⊆-minimal subset found
-    /// late retroactively kills pairs that were already counted and maybe
-    /// already expanded.  Kept as the ablation comparator.
-    Fifo,
+    /// Plain rounds: re-enumerate every combination each round, recompute
+    /// `propagate` per combination, and clone a witness tree per derived
+    /// pair.  The uncached reference oracle; it emits no `pop` or
+    /// `propagate` events, reports every combination as a propagate miss,
+    /// and interns no subsets.
+    Rounds,
     /// Priority frontier ordered by subset size — smallest `A2`-subsets
     /// first, state id then arrival order as tie-breaks.  Candidates join
     /// the antichain only at pop time, after every ⊆-smaller subset has
@@ -132,9 +131,8 @@ pub struct EngineStats {
     /// ⊆-smaller subset dominated them.  Under the min-subset schedule this
     /// stays at (or near) zero — dominators are established first.
     pub pairs_dominated: usize,
-    /// Worklist pops discarded at pop time: FIFO entries killed while
-    /// queued, or scheduled candidates that became dominated (or duplicate)
-    /// between push and pop.
+    /// Frontier pops discarded at pop time: candidates that became
+    /// dominated (or duplicate) between push and pop.
     pub pops_skipped_dead: usize,
     /// High-water mark of the pending worklist / priority frontier.
     pub max_frontier: usize,
@@ -194,14 +192,6 @@ impl<L> TreeContainment<L> {
             _ => None,
         }
     }
-}
-
-/// Decide whether `T(a) ⊆ T(b)` with default options.
-pub fn contained_in<L: Ord + Clone>(
-    a: &TreeAutomaton<L>,
-    b: &TreeAutomaton<L>,
-) -> TreeContainment<L> {
-    contained_in_with(a, b, ContainmentOptions::default())
 }
 
 /// A derived pair: the interned `A2` subset, a liveness flag (antichain
@@ -411,9 +401,8 @@ impl<'b, L: Ord + Clone> Engine<'b, L> {
     }
 }
 
-/// Decide whether `T(a) ⊆ T(b)` with the interned, memoised worklist
-/// engine, draining the worklist per `options.schedule` (min-subset
-/// priority order by default; see [`Schedule`]).
+/// Decide whether `T(a) ⊆ T(b)`, searching per `options.schedule` (the
+/// min-subset worklist by default; see [`Schedule`]).
 ///
 /// ```
 /// use automata::tree::containment::{contained_in_with, ContainmentOptions};
@@ -452,8 +441,8 @@ pub fn contained_in_with<L: Ord + Clone>(
 /// verdict) is emitted per run;
 /// [`MetricsLevel::Debug`] adds `phase` timings for preparation and
 /// saturation; [`MetricsLevel::Trace`] adds one `pop` event per worklist pop
-/// (subset size, antichain admission, dominated kills, and under the
-/// min-subset schedule the `next_size` still queued) and one `propagate`
+/// (subset size, antichain admission, dominated kills, and the `next_size`
+/// still queued) and one `propagate`
 /// event per combination (memo hit/miss, resulting subset size).  Every
 /// emission is level-guarded, so a [`metrics::NoMetrics`] sink monomorphizes
 /// to the uninstrumented engine.
@@ -465,7 +454,7 @@ pub fn contained_in_with_sink<L: Ord + Clone, S: MetricsSink>(
 ) -> TreeContainment<L> {
     let phase_start = (sink.level() >= MetricsLevel::Debug).then(Instant::now);
     let result = match options.schedule {
-        Schedule::Fifo => contained_in_fifo(a, b, options, sink),
+        Schedule::Rounds => contained_in_by_rounds(a, b, options),
         Schedule::MinSubset => contained_in_scheduled(a, b, options, sink),
     };
     if let Some(start) = phase_start {
@@ -513,60 +502,6 @@ pub fn contained_in_with_sink<L: Ord + Clone, S: MetricsSink>(
     result
 }
 
-/// Shared setup of both worklist schedules: the `A1` transition table with
-/// dense label ids, the child-occurrence index, and a fresh engine.
-struct Prepared<'x, L: Ord> {
-    a_transitions: Vec<(State, &'x L, &'x Vec<State>)>,
-    trans_label: Vec<u32>,
-    occurrences: Vec<Vec<(usize, usize)>>,
-    engine: Engine<'x, L>,
-}
-
-fn prepare<'x, L: Ord + Clone>(
-    a: &'x TreeAutomaton<L>,
-    b: &'x TreeAutomaton<L>,
-) -> Prepared<'x, L> {
-    let a_transitions: Vec<(State, &L, &Vec<State>)> = a.transitions().collect();
-    let mut b_by_label: BTreeMap<&L, Vec<(State, &Vec<State>)>> = BTreeMap::new();
-    for (q, label, tuple) in b.transitions() {
-        b_by_label.entry(label).or_default().push((q, tuple));
-    }
-
-    // Dense per-transition label ids: the propagate memo keys on these
-    // instead of on `L` (which is only `Ord`, not `Hash`).
-    let mut label_ids: BTreeMap<&L, u32> = BTreeMap::new();
-    let trans_label: Vec<u32> = a_transitions
-        .iter()
-        .map(|&(_, label, _)| {
-            let next = u32::try_from(label_ids.len()).expect("label id overflow");
-            *label_ids.entry(label).or_insert(next)
-        })
-        .collect();
-
-    // occurrences[c] = the (transition, child position) slots state c fills.
-    let mut occurrences: Vec<Vec<(usize, usize)>> = vec![Vec::new(); a.state_count()];
-    for (t, &(_, _, tuple)) in a_transitions.iter().enumerate() {
-        for (pos, &child) in tuple.iter().enumerate() {
-            occurrences[child].push((t, pos));
-        }
-    }
-
-    let engine: Engine<'_, L> = Engine {
-        arena: SubsetArena::new(),
-        propagate_cache: HashMap::new(),
-        entries: (0..a.state_count()).map(|_| Vec::new()).collect(),
-        live: (0..a.state_count()).map(|_| Vec::new()).collect(),
-        stats: EngineStats::default(),
-        b_by_label,
-    };
-    Prepared {
-        a_transitions,
-        trans_label,
-        occurrences,
-        engine,
-    }
-}
-
 /// Emit a Debug-level `phase` timing event.  Callers guard the `Instant`
 /// capture behind the level check, so `Off` runs never read the clock.
 fn emit_phase<S: MetricsSink>(sink: &mut S, name: &'static str, start: Instant) {
@@ -606,162 +541,6 @@ fn emit_propagate<L: Ord, S: MetricsSink>(
     ));
 }
 
-/// The FIFO schedule: pairs join the antichain the moment they are derived
-/// and are expanded in derivation order.  This is the PR-3 engine (modulo
-/// the live-index bookkeeping), kept as the scheduling-ablation comparator.
-fn contained_in_fifo<L: Ord + Clone, S: MetricsSink>(
-    a: &TreeAutomaton<L>,
-    b: &TreeAutomaton<L>,
-    options: ContainmentOptions,
-    sink: &mut S,
-) -> TreeContainment<L> {
-    let phase_start = (sink.level() >= MetricsLevel::Debug).then(Instant::now);
-    let Prepared {
-        a_transitions,
-        trans_label,
-        occurrences,
-        mut engine,
-    } = prepare(a, b);
-    if let Some(start) = phase_start {
-        emit_phase(sink, "prepare", start);
-    }
-    let a_initial = a.initial();
-    let b_initial = b.initial();
-    let mut queue: VecDeque<(State, usize)> = VecDeque::new();
-
-    // A freshly inserted pair either reports a violation immediately, trips
-    // the pair limit, or joins the worklist.
-    macro_rules! admit {
-        ($state:expr, $index:expr) => {{
-            engine.stats.pairs += 1;
-            if a_initial.contains(&$state)
-                && engine.violates(engine.entries[$state][$index].subset, b_initial)
-            {
-                let witness = engine.reconstruct(($state, $index), &a_transitions);
-                engine.stats.subsets_interned = engine.arena.len();
-                return TreeContainment::NotContained {
-                    witness,
-                    stats: engine.stats,
-                };
-            }
-            if let Some(limit) = options.max_pairs {
-                if engine.stats.pairs >= limit {
-                    engine.stats.subsets_interned = engine.arena.len();
-                    return TreeContainment::Unknown {
-                        stats: engine.stats,
-                    };
-                }
-            }
-            queue.push_back(($state, $index));
-            engine.stats.max_frontier = engine.stats.max_frontier.max(queue.len());
-        }};
-    }
-
-    // Seed: leaf transitions derive their pairs unconditionally.
-    for (t, &(s, label, tuple)) in a_transitions.iter().enumerate() {
-        if !tuple.is_empty() {
-            continue;
-        }
-        let hits_before = engine.stats.propagate_hits;
-        let subset = engine.propagate(trans_label[t], label, &[]);
-        if sink.level() >= MetricsLevel::Trace {
-            emit_propagate(sink, &engine, hits_before, subset);
-        }
-        if let Some(index) = engine.insert(s, subset, (t, Vec::new()), options.antichain) {
-            admit!(s, index);
-        }
-    }
-
-    // Saturate: when a pair is popped, re-enumerate only the combinations of
-    // transitions in which its state occurs, with the popped pair pinned to
-    // that occurrence and the other positions ranging over the currently
-    // live pairs of their states.
-    while let Some((changed_state, changed_index)) = queue.pop_front() {
-        let alive = engine.entries[changed_state][changed_index].alive;
-        if sink.level() >= MetricsLevel::Trace {
-            let subset = engine.entries[changed_state][changed_index].subset;
-            sink.emit(Event::new(
-                "pop",
-                vec![
-                    ("size", FieldValue::Num(engine.arena.size(subset) as u64)),
-                    ("admitted", FieldValue::Flag(alive)),
-                ],
-            ));
-        }
-        if !alive {
-            engine.stats.pops_skipped_dead += 1;
-            continue; // dominated while queued; its dominator covers it
-        }
-        for &(t, pin) in &occurrences[changed_state] {
-            let (s, label, tuple) = a_transitions[t];
-            // Candidate entry indices per child position, straight from the
-            // live index (dead entries are never scanned).
-            let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(tuple.len());
-            let mut feasible = true;
-            for (j, &child_state) in tuple.iter().enumerate() {
-                if j == pin {
-                    candidates.push(vec![changed_index]);
-                    continue;
-                }
-                if engine.live[child_state].is_empty() {
-                    feasible = false;
-                    break;
-                }
-                candidates.push(engine.live[child_state].clone());
-            }
-            if !feasible {
-                continue;
-            }
-            let mut combo = vec![0usize; tuple.len()];
-            loop {
-                let child_ids: Vec<SubsetId> = combo
-                    .iter()
-                    .zip(&candidates)
-                    .zip(tuple)
-                    .map(|((&i, slot), &child_state)| engine.entries[child_state][slot[i]].subset)
-                    .collect();
-                let hits_before = engine.stats.propagate_hits;
-                let subset = engine.propagate(trans_label[t], label, &child_ids);
-                if sink.level() >= MetricsLevel::Trace {
-                    emit_propagate(sink, &engine, hits_before, subset);
-                }
-                let derivation = (
-                    t,
-                    combo
-                        .iter()
-                        .zip(&candidates)
-                        .zip(tuple)
-                        .map(|((&i, slot), &child_state)| (child_state, slot[i]))
-                        .collect(),
-                );
-                if let Some(index) = engine.insert(s, subset, derivation, options.antichain) {
-                    admit!(s, index);
-                }
-                // Odometer over candidate indices.
-                let mut carry = true;
-                for (slot, cands) in combo.iter_mut().zip(&candidates) {
-                    if carry {
-                        *slot += 1;
-                        if *slot == cands.len() {
-                            *slot = 0;
-                        } else {
-                            carry = false;
-                        }
-                    }
-                }
-                if carry {
-                    break;
-                }
-            }
-        }
-    }
-
-    engine.stats.subsets_interned = engine.arena.len();
-    TreeContainment::Contained {
-        stats: engine.stats,
-    }
-}
-
 /// The min-subset schedule: derivations are *offered* to a priority
 /// frontier and only admitted into the antichain when popped, by which
 /// point every ⊆-smaller subset has been established — dominated pairs are
@@ -775,12 +554,39 @@ fn contained_in_scheduled<L: Ord + Clone, S: MetricsSink>(
     sink: &mut S,
 ) -> TreeContainment<L> {
     let phase_start = (sink.level() >= MetricsLevel::Debug).then(Instant::now);
-    let Prepared {
-        a_transitions,
-        trans_label,
-        occurrences,
-        mut engine,
-    } = prepare(a, b);
+    let a_transitions: Vec<(State, &L, &Vec<State>)> = a.transitions().collect();
+    let mut b_by_label: BTreeMap<&L, Vec<(State, &Vec<State>)>> = BTreeMap::new();
+    for (q, label, tuple) in b.transitions() {
+        b_by_label.entry(label).or_default().push((q, tuple));
+    }
+
+    // Dense per-transition label ids: the propagate memo keys on these
+    // instead of on `L` (which is only `Ord`, not `Hash`).
+    let mut label_ids: BTreeMap<&L, u32> = BTreeMap::new();
+    let trans_label: Vec<u32> = a_transitions
+        .iter()
+        .map(|&(_, label, _)| {
+            let next = u32::try_from(label_ids.len()).expect("label id overflow");
+            *label_ids.entry(label).or_insert(next)
+        })
+        .collect();
+
+    // occurrences[c] = the (transition, child position) slots state c fills.
+    let mut occurrences: Vec<Vec<(usize, usize)>> = vec![Vec::new(); a.state_count()];
+    for (t, &(_, _, tuple)) in a_transitions.iter().enumerate() {
+        for (pos, &child) in tuple.iter().enumerate() {
+            occurrences[child].push((t, pos));
+        }
+    }
+
+    let mut engine: Engine<'_, L> = Engine {
+        arena: SubsetArena::new(),
+        propagate_cache: HashMap::new(),
+        entries: (0..a.state_count()).map(|_| Vec::new()).collect(),
+        live: (0..a.state_count()).map(|_| Vec::new()).collect(),
+        stats: EngineStats::default(),
+        b_by_label,
+    };
     if let Some(start) = phase_start {
         emit_phase(sink, "prepare", start);
     }
@@ -940,21 +746,8 @@ fn contained_in_scheduled<L: Ord + Clone, S: MetricsSink>(
     }
 }
 
-/// Decide whether `T(a) ⊆ T(b)` with the plain-rounds reference engine and
-/// default options.
-pub fn contained_in_rounds<L: Ord + Clone>(
-    a: &TreeAutomaton<L>,
-    b: &TreeAutomaton<L>,
-) -> TreeContainment<L> {
-    contained_in_rounds_with(a, b, ContainmentOptions::default())
-}
-
-/// The plain-rounds reference engine: re-enumerates every combination each
-/// round, recomputes `propagate` per combination, and clones a witness tree
-/// per derived pair.  Kept as the uncached oracle the worklist engine is
-/// locked against differentially; its stats report every combination as a
-/// propagate miss and intern no subsets.
-pub fn contained_in_rounds_with<L: Ord + Clone>(
+/// The plain-rounds reference engine ([`Schedule::Rounds`]).
+fn contained_in_by_rounds<L: Ord + Clone>(
     a: &TreeAutomaton<L>,
     b: &TreeAutomaton<L>,
     options: ContainmentOptions,
@@ -1105,7 +898,9 @@ pub fn contained_in_rounds_with<L: Ord + Clone>(
 
 /// Are the two tree languages equal?
 pub fn equivalent<L: Ord + Clone>(a: &TreeAutomaton<L>, b: &TreeAutomaton<L>) -> bool {
-    contained_in(a, b).is_contained() && contained_in(b, a).is_contained()
+    let options = ContainmentOptions::default();
+    contained_in_with(a, b, options).is_contained()
+        && contained_in_with(b, a, options).is_contained()
 }
 
 /// The materialised containment check: `T(a) ∩ complement(T(b)) = ∅`, with
@@ -1178,6 +973,27 @@ mod tests {
         t
     }
 
+    /// Decide with the default options (the min-subset worklist).
+    fn check(a: &TreeAutomaton<char>, b: &TreeAutomaton<char>) -> TreeContainment<char> {
+        contained_in_with(a, b, ContainmentOptions::default())
+    }
+
+    /// Decide with the plain-rounds reference oracle.
+    fn rounds(
+        a: &TreeAutomaton<char>,
+        b: &TreeAutomaton<char>,
+        options: ContainmentOptions,
+    ) -> TreeContainment<char> {
+        contained_in_with(
+            a,
+            b,
+            ContainmentOptions {
+                schedule: Schedule::Rounds,
+                ..options
+            },
+        )
+    }
+
     /// The unit fixtures the differential tests sweep over.
     fn fixture_pairs() -> Vec<(TreeAutomaton<char>, TreeAutomaton<char>)> {
         vec![
@@ -1196,7 +1012,7 @@ mod tests {
 
     #[test]
     fn bounded_height_is_contained_in_unbounded() {
-        let r = contained_in(&ab_trees_of_height(3), &ab_trees());
+        let r = check(&ab_trees_of_height(3), &ab_trees());
         assert!(r.is_contained());
         assert!(r.explored() > 0);
     }
@@ -1204,7 +1020,7 @@ mod tests {
     #[test]
     fn unbounded_is_not_contained_in_bounded_and_witness_is_valid() {
         let bounded = ab_trees_of_height(2);
-        let r = contained_in(&ab_trees(), &bounded);
+        let r = check(&ab_trees(), &bounded);
         match &r {
             TreeContainment::NotContained { witness, .. } => {
                 assert!(ab_trees().accepts(witness));
@@ -1217,7 +1033,7 @@ mod tests {
 
     #[test]
     fn language_with_c_is_not_contained_in_pure_ab() {
-        let r = contained_in(&ab_trees_with_c(), &ab_trees());
+        let r = check(&ab_trees_with_c(), &ab_trees());
         assert!(r.is_not_contained());
         let w = r.witness().unwrap();
         assert!(ab_trees_with_c().accepts(w));
@@ -1227,13 +1043,13 @@ mod tests {
     #[test]
     fn pure_ab_is_not_contained_in_with_c_either() {
         // ab-trees without any c are rejected by ab_trees_with_c.
-        let r = contained_in(&ab_trees(), &ab_trees_with_c());
+        let r = check(&ab_trees(), &ab_trees_with_c());
         assert!(r.is_not_contained());
     }
 
     #[test]
     fn reflexive_containment_and_equivalence() {
-        assert!(contained_in(&ab_trees(), &ab_trees()).is_contained());
+        assert!(check(&ab_trees(), &ab_trees()).is_contained());
         assert!(equivalent(&ab_trees(), &ab_trees()));
         assert!(!equivalent(&ab_trees(), &ab_trees_of_height(2)));
     }
@@ -1241,55 +1057,38 @@ mod tests {
     #[test]
     fn empty_language_is_contained_in_everything() {
         let empty = TreeAutomaton::<char>::new(1);
-        assert!(contained_in(&empty, &ab_trees()).is_contained());
-        assert!(contained_in(&ab_trees(), &empty).is_not_contained());
+        assert!(check(&empty, &ab_trees()).is_contained());
+        assert!(check(&ab_trees(), &empty).is_not_contained());
     }
 
     #[test]
     fn antichain_and_full_mode_agree() {
-        for schedule in [Schedule::MinSubset, Schedule::Fifo] {
-            for (a, b) in &fixture_pairs() {
-                let with = contained_in_with(
-                    a,
-                    b,
-                    ContainmentOptions {
-                        antichain: true,
-                        max_pairs: None,
-                        schedule,
-                    },
-                );
-                let without = contained_in_with(
-                    a,
-                    b,
-                    ContainmentOptions {
-                        antichain: false,
-                        max_pairs: None,
-                        schedule,
-                    },
-                );
-                assert_eq!(with.is_contained(), without.is_contained());
-                // The antichain never explores more pairs than the full mode.
-                assert!(with.explored() <= without.explored());
-            }
+        for (a, b) in &fixture_pairs() {
+            let with = check(a, b);
+            let without = contained_in_with(
+                a,
+                b,
+                ContainmentOptions {
+                    antichain: false,
+                    ..ContainmentOptions::default()
+                },
+            );
+            assert_eq!(with.is_contained(), without.is_contained());
+            // The antichain never explores more pairs than the full mode.
+            assert!(with.explored() <= without.explored());
         }
     }
 
     #[test]
     fn worklist_and_rounds_engines_agree_on_the_fixtures() {
-        for (antichain, schedule) in [
-            (true, Schedule::MinSubset),
-            (false, Schedule::MinSubset),
-            (true, Schedule::Fifo),
-            (false, Schedule::Fifo),
-        ] {
+        for antichain in [true, false] {
             let options = ContainmentOptions {
                 antichain,
-                max_pairs: None,
-                schedule,
+                ..ContainmentOptions::default()
             };
             for (a, b) in &fixture_pairs() {
                 let worklist = contained_in_with(a, b, options);
-                let rounds = contained_in_rounds_with(a, b, options);
+                let rounds = rounds(a, b, options);
                 assert_eq!(
                     worklist.is_contained(),
                     rounds.is_contained(),
@@ -1321,7 +1120,7 @@ mod tests {
     fn engine_stats_expose_memoisation_and_interning() {
         // A containment that saturates: every derived subset is interned and
         // the repeated (label, child ids) combinations hit the memo.
-        let r = contained_in(&ab_trees_of_height(4), &ab_trees());
+        let r = check(&ab_trees_of_height(4), &ab_trees());
         assert!(r.is_contained());
         let stats = r.stats();
         assert!(stats.pairs > 0);
@@ -1345,7 +1144,7 @@ mod tests {
         ];
         for (a, b) in &pairs {
             assert_eq!(
-                contained_in(a, b).is_contained(),
+                check(a, b).is_contained(),
                 contained_in_via_complement(a, b)
             );
         }
@@ -1353,33 +1152,32 @@ mod tests {
 
     #[test]
     fn pair_limit_reports_unknown() {
-        for engine in [contained_in_with, contained_in_rounds_with] {
-            for schedule in [Schedule::MinSubset, Schedule::Fifo] {
-                let r = engine(
-                    &ab_trees(),
-                    &ab_trees_with_c(),
-                    ContainmentOptions {
-                        antichain: true,
-                        max_pairs: Some(1),
-                        schedule,
-                    },
-                );
-                assert!(matches!(r, TreeContainment::Unknown { .. }) || r.is_not_contained());
-            }
+        for schedule in [Schedule::MinSubset, Schedule::Rounds] {
+            let r = contained_in_with(
+                &ab_trees(),
+                &ab_trees_with_c(),
+                ContainmentOptions {
+                    antichain: true,
+                    max_pairs: Some(1),
+                    schedule,
+                },
+            );
+            assert!(matches!(r, TreeContainment::Unknown { .. }) || r.is_not_contained());
         }
     }
 
     #[test]
     fn min_subset_schedule_matches_rounds_pair_count_on_nested_heights() {
         // The motivating shape: bounded-height trees against a one-higher
-        // bound.  FIFO order admits every height-9 leaf subset before any
-        // refinement arrives; the min-subset schedule establishes the
-        // ⊆-minimal chain first and skips the dominated seeds at pop time.
+        // bound.  First-in-first-out order would admit every leaf subset
+        // before any refinement arrives; the min-subset schedule establishes
+        // the ⊆-minimal chain first and skips the dominated seeds at pop
+        // time.
         for h in [2, 4, 6, 8] {
             let a = ab_trees_of_height(h);
             let b = ab_trees_of_height(h + 1);
-            let scheduled = contained_in_with(&a, &b, ContainmentOptions::default());
-            let rounds = contained_in_rounds_with(&a, &b, ContainmentOptions::default());
+            let scheduled = check(&a, &b);
+            let rounds = rounds(&a, &b, ContainmentOptions::default());
             assert!(scheduled.is_contained());
             assert_eq!(
                 scheduled.explored(),
@@ -1395,74 +1193,41 @@ mod tests {
     }
 
     #[test]
-    fn fifo_schedule_retires_dominated_pairs_late() {
-        // Same shape under FIFO: the dominated seed pairs are admitted
-        // (inflating the pair count) and then killed by later refinements.
-        let a = ab_trees_of_height(8);
-        let b = ab_trees_of_height(9);
-        let fifo = contained_in_with(
-            &a,
-            &b,
-            ContainmentOptions {
-                schedule: Schedule::Fifo,
-                ..ContainmentOptions::default()
-            },
-        );
-        let scheduled = contained_in_with(&a, &b, ContainmentOptions::default());
-        assert!(fifo.is_contained());
-        assert!(fifo.stats().pairs_dominated > 0);
-        assert!(
-            scheduled.explored() < fifo.explored(),
-            "scheduling must strictly reduce pair exploration here"
-        );
-    }
-
-    #[test]
     fn sinks_observe_without_perturbing_the_engine() {
         use metrics::{MetricsLevel, NoMetrics, RecordingSink};
         let a = ab_trees_of_height(4);
         let b = ab_trees_of_height(5);
-        for schedule in [Schedule::MinSubset, Schedule::Fifo] {
-            let options = ContainmentOptions {
-                schedule,
-                ..ContainmentOptions::default()
-            };
-            let plain = contained_in_with(&a, &b, options);
-            let off = contained_in_with_sink(&a, &b, options, &mut NoMetrics);
-            assert_eq!(plain.stats(), off.stats());
+        let options = ContainmentOptions::default();
+        let plain = contained_in_with(&a, &b, options);
+        let off = contained_in_with_sink(&a, &b, options, &mut NoMetrics);
+        assert_eq!(plain.stats(), off.stats());
 
-            let mut sink = RecordingSink::new(MetricsLevel::Trace, usize::MAX);
-            let traced = contained_in_with_sink(&a, &b, options, &mut sink);
-            assert_eq!(
-                plain.stats(),
-                traced.stats(),
-                "tracing must be observational"
-            );
-            let kinds: BTreeSet<&str> = sink.events.iter().map(|e| e.kind).collect();
-            for kind in ["phase", "pop", "propagate", "containment"] {
-                assert!(
-                    kinds.contains(kind),
-                    "missing event kind {kind} ({schedule:?})"
-                );
-            }
-            let summary = sink
-                .events
-                .iter()
-                .find(|e| e.kind == "containment")
-                .unwrap();
-            assert_eq!(summary.flag("contained"), Some(true));
-            assert_eq!(summary.num("pairs"), Some(traced.stats().pairs as u64));
-            if schedule == Schedule::MinSubset {
-                // Under the min-subset schedule admission happens at the pop,
-                // so admitted pops are exactly the counted pairs.
-                let admitted = sink
-                    .events
-                    .iter()
-                    .filter(|e| e.kind == "pop" && e.flag("admitted") == Some(true))
-                    .count();
-                assert_eq!(admitted, traced.stats().pairs);
-            }
+        let mut sink = RecordingSink::new(MetricsLevel::Trace, usize::MAX);
+        let traced = contained_in_with_sink(&a, &b, options, &mut sink);
+        assert_eq!(
+            plain.stats(),
+            traced.stats(),
+            "tracing must be observational"
+        );
+        let kinds: BTreeSet<&str> = sink.events.iter().map(|e| e.kind).collect();
+        for kind in ["phase", "pop", "propagate", "containment"] {
+            assert!(kinds.contains(kind), "missing event kind {kind}");
         }
+        let summary = sink
+            .events
+            .iter()
+            .find(|e| e.kind == "containment")
+            .unwrap();
+        assert_eq!(summary.flag("contained"), Some(true));
+        assert_eq!(summary.num("pairs"), Some(traced.stats().pairs as u64));
+        // Admission happens at the pop, so admitted pops are exactly the
+        // counted pairs.
+        let admitted = sink
+            .events
+            .iter()
+            .filter(|e| e.kind == "pop" && e.flag("admitted") == Some(true))
+            .count();
+        assert_eq!(admitted, traced.stats().pairs);
     }
 
     #[test]
@@ -1473,7 +1238,7 @@ mod tests {
             let result = contained_in_with_sink(a, b, ContainmentOptions::default(), &mut sink);
             assert_eq!(
                 result.is_contained(),
-                contained_in_rounds(a, b).is_contained()
+                rounds(a, b, ContainmentOptions::default()).is_contained()
             );
             let pops: Vec<_> = sink.events.iter().filter(|e| e.kind == "pop").collect();
             for pop in &pops {

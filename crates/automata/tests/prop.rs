@@ -276,45 +276,48 @@ fn tree_union_and_intersection_are_boolean() {
     }
 }
 
-/// The interned/memoised worklist containment engine agrees with the
-/// plain-rounds reference oracle on random automaton pairs, under both
-/// schedules and both antichain modes, and every reported witness is a
-/// genuine separator (brute-force validated against both automata).
+/// The interned/memoised min-subset worklist agrees with the plain-rounds
+/// reference oracle (`Schedule::Rounds`) on random automaton pairs, under
+/// both antichain modes, and every reported witness is a genuine separator
+/// (brute-force validated against both automata).
 #[test]
 fn tree_containment_worklist_agrees_with_rounds_oracle() {
-    use automata::tree::containment::{
-        contained_in_rounds_with, contained_in_with, ContainmentOptions, Schedule,
-    };
+    use automata::tree::containment::{contained_in_with, ContainmentOptions, Schedule};
     for case in 0..CONTAINMENT_CASES {
         let mut rng = StdRng::seed_from_u64(case ^ 0xC0_07A1);
         let a = random_tree_automaton(&mut rng);
         let b = random_tree_automaton(&mut rng);
-        for schedule in [Schedule::MinSubset, Schedule::Fifo] {
-            for antichain in [true, false] {
-                let options = ContainmentOptions {
-                    antichain,
-                    max_pairs: None,
-                    schedule,
-                };
-                let worklist = contained_in_with(&a, &b, options);
-                let rounds = contained_in_rounds_with(&a, &b, options);
-                assert_eq!(
-                    worklist.is_contained(),
-                    rounds.is_contained(),
-                    "case {case}, antichain {antichain}, schedule {schedule:?}"
-                );
-                for witness in [worklist.witness(), rounds.witness()].into_iter().flatten() {
-                    assert!(a.accepts(witness), "case {case}: witness not in T(A1)");
-                    assert!(!b.accepts(witness), "case {case}: witness in T(A2)");
-                }
-                // Containment verdicts must also survive the brute-force
-                // cross-check on contained cases (cheap here: the generated
-                // automata are tiny).
-                if worklist.is_contained() {
-                    for tree in small_trees().into_iter().take(40) {
-                        if a.accepts(&tree) {
-                            assert!(b.accepts(&tree), "case {case}: containment lied");
-                        }
+        for antichain in [true, false] {
+            let options = ContainmentOptions {
+                antichain,
+                max_pairs: None,
+                schedule: Schedule::MinSubset,
+            };
+            let worklist = contained_in_with(&a, &b, options);
+            let rounds = contained_in_with(
+                &a,
+                &b,
+                ContainmentOptions {
+                    schedule: Schedule::Rounds,
+                    ..options
+                },
+            );
+            assert_eq!(
+                worklist.is_contained(),
+                rounds.is_contained(),
+                "case {case}, antichain {antichain}"
+            );
+            for witness in [worklist.witness(), rounds.witness()].into_iter().flatten() {
+                assert!(a.accepts(witness), "case {case}: witness not in T(A1)");
+                assert!(!b.accepts(witness), "case {case}: witness in T(A2)");
+            }
+            // Containment verdicts must also survive the brute-force
+            // cross-check on contained cases (cheap here: the generated
+            // automata are tiny).
+            if worklist.is_contained() {
+                for tree in small_trees().into_iter().take(40) {
+                    if a.accepts(&tree) {
+                        assert!(b.accepts(&tree), "case {case}: containment lied");
                     }
                 }
             }

@@ -13,7 +13,7 @@ use bench::report_shape;
 use bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use automata::tree::containment::contained_in as tree_contained_in;
+use automata::tree::containment::{contained_in_with, ContainmentOptions};
 use automata::tree::reduce::reduce_with_stats;
 use automata::tree::TreeAutomaton;
 use automata::word::containment::contained_in as word_contained_in;
@@ -95,19 +95,35 @@ fn bench_ablation(c: &mut Criterion) {
                 ("states_after", stats.states_after.to_string()),
                 (
                     "explored_raw",
-                    tree_contained_in(&raw, &all).explored().to_string(),
+                    contained_in_with(&raw, &all, ContainmentOptions::default())
+                        .explored()
+                        .to_string(),
                 ),
                 (
                     "explored_reduced",
-                    tree_contained_in(&reduced, &all).explored().to_string(),
+                    contained_in_with(&reduced, &all, ContainmentOptions::default())
+                        .explored()
+                        .to_string(),
                 ),
             ],
         );
         group.bench_function(format!("tree_containment_raw_h{h}"), |b| {
-            b.iter(|| black_box(tree_contained_in(black_box(&raw), black_box(&all))))
+            b.iter(|| {
+                black_box(contained_in_with(
+                    black_box(&raw),
+                    black_box(&all),
+                    ContainmentOptions::default(),
+                ))
+            })
         });
         group.bench_function(format!("tree_containment_reduced_h{h}"), |b| {
-            b.iter(|| black_box(tree_contained_in(black_box(&reduced), black_box(&all))))
+            b.iter(|| {
+                black_box(contained_in_with(
+                    black_box(&reduced),
+                    black_box(&all),
+                    ContainmentOptions::default(),
+                ))
+            })
         });
     }
 

@@ -17,14 +17,13 @@ use bench::report_shape;
 use bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use automata::tree::containment::{
-    contained_in_rounds_with, contained_in_with, ContainmentOptions, EngineStats, Schedule,
-};
+use automata::tree::containment::{contained_in_with, ContainmentOptions, EngineStats, Schedule};
 use automata::tree::TreeAutomaton;
 use datalog::atom::Pred;
 use datalog::parser::parse_program;
-use nonrec_equivalence::equivalence::equivalent_to_nonrecursive;
+use nonrec_equivalence::equivalence::equivalent_to_nonrecursive_with;
 use nonrec_equivalence::optimize::{optimize, OptimizeOptions};
+use nonrec_equivalence::DecisionOptions;
 
 /// Trees of binary 'a' nodes over 'b' leaves of height ≤ h.
 fn bounded_height(h: usize) -> TreeAutomaton<char> {
@@ -71,9 +70,8 @@ fn bench_containment(c: &mut Criterion) {
     // Two families: `height ≤ h ⊆ all ab-trees` (the original E13 shape, a
     // trivial right-hand automaton) and `height ≤ h ⊆ height ≤ h+1` (a
     // growing right-hand automaton, so subsets and the antichain matter).
-    // Three engines per shape: the priority-scheduled worklist (the default,
-    // reported as `worklist`), the FIFO ablation comparator (`fifo`), and
-    // the rounds oracle (`rounds`).
+    // Two engines per shape: the min-subset worklist (`worklist`) and the
+    // rounds oracle (`rounds`).
     let mut engine_rows: Vec<EngineRow> = Vec::new();
     for h in [2usize, 4, 6, 8] {
         for (family, bounded, all) in [
@@ -87,23 +85,13 @@ fn bench_containment(c: &mut Criterion) {
                     schedule,
                 };
                 let worklist = contained_in_with(&bounded, &all, options(Schedule::MinSubset));
-                let fifo = contained_in_with(&bounded, &all, options(Schedule::Fifo));
-                let rounds = contained_in_rounds_with(&bounded, &all, options(Schedule::MinSubset));
+                let rounds = contained_in_with(&bounded, &all, options(Schedule::Rounds));
                 assert_eq!(
                     worklist.is_contained(),
                     rounds.is_contained(),
                     "verdict mismatch on h={h} ({family}, {mode})"
                 );
-                assert_eq!(
-                    fifo.is_contained(),
-                    rounds.is_contained(),
-                    "fifo verdict mismatch on h={h} ({family}, {mode})"
-                );
-                for (engine, result) in [
-                    ("worklist", &worklist),
-                    ("fifo", &fifo),
-                    ("rounds", &rounds),
-                ] {
+                for (engine, result) in [("worklist", &worklist), ("rounds", &rounds)] {
                     let stats = *result.stats();
                     report_shape(
                         "E13_tree_containment",
@@ -127,24 +115,21 @@ fn bench_containment(c: &mut Criterion) {
                         stats,
                     });
                 }
-                // Pair-work regression gate: neither worklist engine may
-                // rescan δ2 more often than the rounds oracle enumerates
-                // combinations on any saturating shape.
-                for (engine, result) in [("worklist", &worklist), ("fifo", &fifo)] {
-                    assert!(
-                        result.stats().propagate_misses <= rounds.stats().combinations,
-                        "containment work regression on h={h} ({family}, {mode}): {engine} \
-                         misses {} > rounds combinations {}",
-                        result.stats().propagate_misses,
-                        rounds.stats().combinations
-                    );
-                }
+                // Pair-work regression gate: the worklist may not rescan δ2
+                // more often than the rounds oracle enumerates combinations
+                // on any saturating shape.
+                assert!(
+                    worklist.stats().propagate_misses <= rounds.stats().combinations,
+                    "containment work regression on h={h} ({family}, {mode}): worklist \
+                     misses {} > rounds combinations {}",
+                    worklist.stats().propagate_misses,
+                    rounds.stats().combinations
+                );
                 // Scheduling gate (the point of the MinSubset frontier): with
                 // the antichain on, the scheduled engine must match the
                 // rounds oracle's pair count exactly — establishing
                 // ⊆-minimal subsets first means no transient dominated pair
-                // is ever admitted.  On the nested family at h=8 that is the
-                // 24 → 8 collapse the FIFO engine cannot achieve.
+                // is ever admitted.
                 if antichain {
                     assert_eq!(
                         worklist.stats().pairs,
@@ -164,16 +149,6 @@ fn bench_containment(c: &mut Criterion) {
                         );
                     }
                 }
-                // The scheduled engine must not regress combination work
-                // against the FIFO comparator on the vs_all family.
-                if family == "vs_all" {
-                    assert!(
-                        worklist.stats().combinations <= fifo.stats().combinations,
-                        "scheduled combinations regressed vs fifo on h={h} ({mode}): {} > {}",
-                        worklist.stats().combinations,
-                        fifo.stats().combinations
-                    );
-                }
             }
         }
     }
@@ -190,25 +165,16 @@ fn bench_containment(c: &mut Criterion) {
                 ))
             })
         });
-        group.bench_function(format!("fifo_antichain_h{h}"), |b| {
-            let fifo = ContainmentOptions {
-                schedule: Schedule::Fifo,
+        group.bench_function(format!("rounds_antichain_h{h}"), |b| {
+            let rounds = ContainmentOptions {
+                schedule: Schedule::Rounds,
                 ..options
             };
             b.iter(|| {
                 black_box(contained_in_with(
                     black_box(&bounded),
                     black_box(&larger),
-                    fifo,
-                ))
-            })
-        });
-        group.bench_function(format!("rounds_antichain_h{h}"), |b| {
-            b.iter(|| {
-                black_box(contained_in_rounds_with(
-                    black_box(&bounded),
-                    black_box(&larger),
-                    options,
+                    rounds,
                 ))
             })
         });
@@ -265,10 +231,19 @@ fn bench_containment(c: &mut Criterion) {
     )
     .unwrap();
     let cache = nonrec_equivalence::cache::DecisionCache::global();
-    let warm = equivalent_to_nonrecursive(&recursive, Pred::new("buys"), &candidate).unwrap();
+    let equivalence = || {
+        equivalent_to_nonrecursive_with(
+            &recursive,
+            Pred::new("buys"),
+            &candidate,
+            DecisionOptions::default(),
+        )
+        .unwrap()
+    };
+    let warm = equivalence();
     assert!(warm.verdict.is_equivalent());
     let before = cache.stats();
-    let again = equivalent_to_nonrecursive(&recursive, Pred::new("buys"), &candidate).unwrap();
+    let again = equivalence();
     assert!(again.verdict.is_equivalent());
     let after = cache.stats();
     assert!(

@@ -11,7 +11,7 @@ use std::hint::black_box;
 use cq::generate::bounded_path_ucq_binary;
 use datalog::atom::Pred;
 use datalog::generate::transitive_closure;
-use nonrec_equivalence::containment::datalog_contained_in_ucq;
+use nonrec_equivalence::containment::{datalog_contained_in_ucq_with, DecisionOptions};
 use nonrec_equivalence::ptrees_automaton::PtreesAutomaton;
 
 fn bench_datalog_in_ucq(c: &mut Criterion) {
@@ -49,7 +49,8 @@ fn bench_datalog_in_ucq(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(800));
     for k in [1usize, 2, 3, 4] {
         let ucq = bounded_path_ucq_binary("e", k);
-        let result = datalog_contained_in_ucq(&tc, goal, &ucq).unwrap();
+        let result =
+            datalog_contained_in_ucq_with(&tc, goal, &ucq, DecisionOptions::default()).unwrap();
         report_shape(
             "E5_tc_vs_bounded_paths",
             k,
@@ -62,10 +63,11 @@ fn bench_datalog_in_ucq(c: &mut Criterion) {
         );
         group.bench_function(format!("tc_in_paths_le_{k}"), |b| {
             b.iter(|| {
-                black_box(datalog_contained_in_ucq(
+                black_box(datalog_contained_in_ucq_with(
                     black_box(&tc),
                     goal,
                     black_box(&ucq),
+                    DecisionOptions::default(),
                 ))
             })
         });
@@ -79,7 +81,8 @@ fn bench_datalog_in_ucq(c: &mut Criterion) {
     )
     .unwrap();
     let edge = cq::Ucq::parse("q(X, Y) :- e(X, Y).").unwrap();
-    let triangle_free = datalog_contained_in_ucq(&guarded, goal, &edge).unwrap();
+    let triangle_free =
+        datalog_contained_in_ucq_with(&guarded, goal, &edge, DecisionOptions::default()).unwrap();
     report_shape(
         "E5_contained_case",
         1,
@@ -87,10 +90,11 @@ fn bench_datalog_in_ucq(c: &mut Criterion) {
     );
     group.bench_function("shortcut_closure_in_edge", |b| {
         b.iter(|| {
-            black_box(datalog_contained_in_ucq(
+            black_box(datalog_contained_in_ucq_with(
                 black_box(&guarded),
                 goal,
                 black_box(&edge),
+                DecisionOptions::default(),
             ))
         })
     });

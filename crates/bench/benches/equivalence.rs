@@ -11,8 +11,9 @@ use std::hint::black_box;
 use datalog::atom::Pred;
 use datalog::parser::parse_program;
 use nonrec_equivalence::equivalence::{
-    datalog_contained_in_nonrecursive, equivalent_to_nonrecursive,
+    datalog_contained_in_nonrecursive_with, equivalent_to_nonrecursive_with,
 };
+use nonrec_equivalence::DecisionOptions;
 
 fn buys_programs() -> (datalog::Program, datalog::Program, datalog::Program) {
     let pi1 = parse_program(
@@ -58,7 +59,9 @@ fn bench_equivalence(c: &mut Criterion) {
     // E1: Example 1.1 both ways.
     let (pi1, pi1_nonrec, pi2) = buys_programs();
     let goal = Pred::new("buys");
-    let equivalent = equivalent_to_nonrecursive(&pi1, goal, &pi1_nonrec).unwrap();
+    let equivalent =
+        equivalent_to_nonrecursive_with(&pi1, goal, &pi1_nonrec, DecisionOptions::default())
+            .unwrap();
     report_shape(
         "E1_buys",
         1,
@@ -69,19 +72,21 @@ fn bench_equivalence(c: &mut Criterion) {
     );
     group.bench_function("example_1_1_pi1_equivalent", |b| {
         b.iter(|| {
-            black_box(equivalent_to_nonrecursive(
+            black_box(equivalent_to_nonrecursive_with(
                 black_box(&pi1),
                 goal,
                 black_box(&pi1_nonrec),
+                DecisionOptions::default(),
             ))
         })
     });
     group.bench_function("example_1_1_pi2_not_equivalent", |b| {
         b.iter(|| {
-            black_box(equivalent_to_nonrecursive(
+            black_box(equivalent_to_nonrecursive_with(
                 black_box(&pi2),
                 goal,
                 black_box(&pi1_nonrec),
+                DecisionOptions::default(),
             ))
         })
     });
@@ -96,7 +101,13 @@ fn bench_equivalence(c: &mut Criterion) {
     let goal = Pred::new("p");
     for k in [1usize, 2, 3, 4] {
         let comparison = bounded_path_program(k);
-        let outcome = datalog_contained_in_nonrecursive(&tc, goal, &comparison).unwrap();
+        let outcome = datalog_contained_in_nonrecursive_with(
+            &tc,
+            goal,
+            &comparison,
+            DecisionOptions::default(),
+        )
+        .unwrap();
         report_shape(
             "E11_tc_vs_bounded_paths",
             k,
@@ -115,10 +126,11 @@ fn bench_equivalence(c: &mut Criterion) {
         );
         group.bench_function(format!("tc_vs_paths_le_{k}"), |b| {
             b.iter(|| {
-                black_box(datalog_contained_in_nonrecursive(
+                black_box(datalog_contained_in_nonrecursive_with(
                     black_box(&tc),
                     goal,
                     black_box(&comparison),
+                    DecisionOptions::default(),
                 ))
             })
         });

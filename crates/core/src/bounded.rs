@@ -7,10 +7,10 @@
 //! variants are decidable with the machinery of this crate:
 //!
 //! * Is Π equivalent to its own depth-`k` unfolding, for a given `k`?
-//!   ([`bounded_at_depth`])  If yes, the depth-`k` unfolding is an
+//!   ([`bounded_at_depth_with`])  If yes, the depth-`k` unfolding is an
 //!   equivalent union of conjunctive queries, i.e. an explicit nonrecursive
 //!   form of Π.
-//! * Find the least such `k` below a cutoff, if any ([`find_bound`]).
+//! * Find the least such `k` below a cutoff, if any ([`find_bound_with`]).
 
 use cq::Ucq;
 use datalog::atom::Pred;
@@ -32,18 +32,10 @@ pub struct BoundedResult {
 ///
 /// The unfolding is contained in the program by construction, so only the
 /// direction Π ⊆ unfolding needs to be decided (Theorem 5.12 machinery).
-pub fn bounded_at_depth(
-    program: &Program,
-    goal: Pred,
-    depth: usize,
-) -> Result<BoundedResult, DecisionError> {
-    bounded_at_depth_with(program, goal, depth, DecisionOptions::default())
-}
-
-/// As [`bounded_at_depth`], with explicit decision options (the default
-/// options share the process-wide [`crate::cache::DecisionCache`], so
-/// probing the same program repeatedly — e.g. from [`find_bound`] and then
-/// from `optimize::eliminate_recursion` — re-decides nothing).
+/// The default options share the process-wide
+/// [`crate::cache::DecisionCache`], so probing the same program repeatedly
+/// — e.g. from [`find_bound_with`] and then from
+/// `optimize::eliminate_recursion_with` — re-decides nothing.
 pub fn bounded_at_depth_with(
     program: &Program,
     goal: Pred,
@@ -64,15 +56,6 @@ pub fn bounded_at_depth_with(
 
 /// Find the least depth `k ≤ max_depth` at which the program is equivalent
 /// to its unfolding, if any.
-pub fn find_bound(
-    program: &Program,
-    goal: Pred,
-    max_depth: usize,
-) -> Result<Option<(usize, Ucq)>, DecisionError> {
-    find_bound_with(program, goal, max_depth, DecisionOptions::default())
-}
-
-/// As [`find_bound`], with explicit decision options.
 pub fn find_bound_with(
     program: &Program,
     goal: Pred,
@@ -93,6 +76,14 @@ mod tests {
     use super::*;
     use datalog::parser::parse_program;
 
+    fn bounded_at(program: &Program, goal: Pred, depth: usize) -> BoundedResult {
+        bounded_at_depth_with(program, goal, depth, DecisionOptions::default()).unwrap()
+    }
+
+    fn bound(program: &Program, goal: Pred, max_depth: usize) -> Option<(usize, Ucq)> {
+        find_bound_with(program, goal, max_depth, DecisionOptions::default()).unwrap()
+    }
+
     #[test]
     fn example_1_1_pi1_is_bounded_at_depth_two() {
         let program = parse_program(
@@ -100,17 +91,13 @@ mod tests {
              buys(X, Y) :- trendy(X), buys(Z, Y).",
         )
         .unwrap();
-        let result = bounded_at_depth(&program, Pred::new("buys"), 2).unwrap();
+        let result = bounded_at(&program, Pred::new("buys"), 2);
         assert!(result.bounded, "Π₁ collapses at depth 2 (Example 1.1)");
         assert_eq!(result.unfolding.len(), 2);
         // Depth 1 is not enough: only the likes-rule expansion is present.
-        assert!(
-            !bounded_at_depth(&program, Pred::new("buys"), 1)
-                .unwrap()
-                .bounded
-        );
-        // find_bound reports 2 as the least bound.
-        let (k, ucq) = find_bound(&program, Pred::new("buys"), 4).unwrap().unwrap();
+        assert!(!bounded_at(&program, Pred::new("buys"), 1).bounded);
+        // The search reports 2 as the least bound.
+        let (k, ucq) = bound(&program, Pred::new("buys"), 4).unwrap();
         assert_eq!(k, 2);
         assert_eq!(ucq.len(), 2);
     }
@@ -122,9 +109,7 @@ mod tests {
              buys(X, Y) :- knows(X, Z), buys(Z, Y).",
         )
         .unwrap();
-        assert!(find_bound(&program, Pred::new("buys"), 3)
-            .unwrap()
-            .is_none());
+        assert!(bound(&program, Pred::new("buys"), 3).is_none());
     }
 
     #[test]
@@ -134,13 +119,13 @@ mod tests {
              p(X, Y) :- e(X, Y).",
         )
         .unwrap();
-        assert!(find_bound(&tc, Pred::new("p"), 3).unwrap().is_none());
+        assert!(bound(&tc, Pred::new("p"), 3).is_none());
     }
 
     #[test]
     fn trivially_nonrecursive_program_is_bounded_at_depth_one() {
         let p = parse_program("r(X, Y) :- e(X, Y).").unwrap();
-        let result = bounded_at_depth(&p, Pred::new("r"), 1).unwrap();
+        let result = bounded_at(&p, Pred::new("r"), 1);
         assert!(result.bounded);
     }
 

@@ -15,9 +15,10 @@
 //! variable renaming, body reordering, and (for unions) disjunct order —
 //! exactly what the canonical cache keys of [`cq::canonical`] quotient out.
 //! The [`DecisionCache`] memoises all three maps under those keys, so
-//! `bounded::find_bound` probing successive depths, `equivalence` deciding
-//! both directions, and every `optimize` pass (`minimize_rule_bodies`,
-//! `remove_subsumed_rules`, `eliminate_recursion`) share one pool of
+//! `bounded::find_bound_with` probing successive depths, `equivalence`
+//! deciding both directions, and every `optimize` pass
+//! (`minimize_rule_bodies`, `remove_subsumed_rules`,
+//! `eliminate_recursion_with`) share one pool of
 //! already-decided containments instead of re-deciding them.
 //!
 //! The cache is **on by default** (see `DecisionOptions::use_cache`); the

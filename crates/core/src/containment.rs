@@ -28,8 +28,9 @@ use datalog::database::Database;
 use datalog::eval::Strategy;
 use datalog::program::Program;
 use datalog::term::Constant;
-use metrics::{Event, FieldValue, MetricsLevel, MetricsSink, NoMetrics, RecordingSink};
+use metrics::{Event, FieldValue, MetricsLevel, MetricsSink, NoMetrics};
 
+use crate::cache::DecisionCache;
 use crate::cq_automaton::CqAutomaton;
 use crate::labels::ProofLabel;
 use crate::proof_tree::{ProofTree, ProofTreeAnalysis};
@@ -95,7 +96,8 @@ pub struct ContainmentResult {
     pub stats: ContainmentStats,
 }
 
-/// Options for [`datalog_contained_in_ucq_with`].
+/// Options for [`datalog_contained_in_ucq_with`] and
+/// [`datalog_contained_in_ucq_in`].
 #[derive(Clone, Copy, Debug)]
 pub struct DecisionOptions {
     /// Use the word-automata fast path when the program allows it.
@@ -104,7 +106,7 @@ pub struct DecisionOptions {
     pub antichain: bool,
     /// Abort tree containment after this many product pairs (`None`: never).
     pub max_pairs: Option<usize>,
-    /// Consult (and populate) the shared [`crate::cache::DecisionCache`].
+    /// Consult (and populate) the [`DecisionCache`].
     /// On by default; switch off to run the uncached reference path the
     /// differential tests lock the cache against.
     pub use_cache: bool,
@@ -170,23 +172,9 @@ impl std::fmt::Display for DecisionError {
 
 impl std::error::Error for DecisionError {}
 
-/// Decide `Π(goal) ⊆ Θ` (Theorem 5.12) with default options.
-pub fn datalog_contained_in_ucq(
-    program: &Program,
-    goal: Pred,
-    ucq: &Ucq,
-) -> Result<ContainmentResult, DecisionError> {
-    datalog_contained_in_ucq_with(program, goal, ucq, DecisionOptions::default())
-}
-
-/// Decide `Π(goal) ⊆ Θ` with explicit options.
-///
-/// Unless `options.use_cache` is off, the decision is memoised in the
-/// shared [`crate::cache::DecisionCache`] keyed on the interned program
-/// structure, goal, query key, and options: repeated calls (from
-/// [`crate::bounded::find_bound`], [`crate::equivalence`], or the
-/// [`mod@crate::optimize`] passes) recall the stored verdict, counterexample,
-/// and instrumentation instead of rebuilding the automata.
+/// Decide `Π(goal) ⊆ Θ` (Theorem 5.12) against the process-wide
+/// [`DecisionCache`], recording no events: [`datalog_contained_in_ucq_in`]
+/// with [`DecisionCache::global`] and [`NoMetrics`].
 pub fn datalog_contained_in_ucq_with(
     program: &Program,
     goal: Pred,
@@ -194,128 +182,36 @@ pub fn datalog_contained_in_ucq_with(
     options: DecisionOptions,
 ) -> Result<ContainmentResult, DecisionError> {
     datalog_contained_in_ucq_in(
-        crate::cache::DecisionCache::global(),
+        DecisionCache::global(),
         program,
         goal,
         ucq,
         options,
+        &mut NoMetrics,
     )
 }
 
-/// Decide `Π(goal) ⊆ Θ` against an explicit [`crate::cache::DecisionCache`]
-/// instead of the process-wide one.
+/// Decide `Π(goal) ⊆ Θ` (Theorem 5.12) against an explicit cache, emitting
+/// structured events into `sink` — the one full decision entry point.
 ///
-/// This is how suites that must not share state across tests (the eviction
-/// differential, the snapshot property tests) run the cached engine on a
-/// private cache; `options.use_cache = false` ignores `cache` entirely and
-/// runs the uncached reference path.
-pub fn datalog_contained_in_ucq_in(
-    cache: &crate::cache::DecisionCache,
-    program: &Program,
-    goal: Pred,
-    ucq: &Ucq,
-    options: DecisionOptions,
-) -> Result<ContainmentResult, DecisionError> {
-    decide_with_sink(cache, program, goal, ucq, options, &mut NoMetrics)
-}
-
-/// Options for a traced decision ([`datalog_contained_in_ucq_traced`]).
-#[derive(Clone, Copy, Debug)]
-pub struct TraceOptions {
-    /// How much detail to record; see [`MetricsLevel`].
-    pub level: MetricsLevel,
-    /// Keep at most this many events; the rest are counted as dropped.
-    pub max_events: usize,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            level: MetricsLevel::Debug,
-            max_events: 512,
-        }
-    }
-}
-
-/// A containment decision together with the structured events recorded
-/// while it ran.
-#[derive(Clone, Debug)]
-pub struct TracedDecision {
-    /// The decision itself, identical to the untraced result.
-    pub result: ContainmentResult,
-    /// The recorded events, at most `max_events` of them, in emission order.
-    pub events: Vec<Event>,
-    /// True when the event budget was exhausted.
-    pub truncated: bool,
-    /// How many events were discarded after the budget was exhausted.
-    pub dropped: usize,
-}
-
-/// Decide `Π(goal) ⊆ Θ` while recording structured trace events — the
-/// engine behind the server's `trace` verb.
+/// Unless `options.use_cache` is off, the decision is memoised in `cache`
+/// keyed on the interned program structure, goal, query key, and options:
+/// repeated calls (from [`crate::bounded::find_bound_with`],
+/// [`crate::equivalence`], or the [`mod@crate::optimize`] passes) recall the
+/// stored verdict, counterexample, and instrumentation instead of
+/// rebuilding the automata; a hit records only the `decision` span event.
+/// With `use_cache` off, `cache` is ignored and the uncached reference path
+/// runs.  Suites that must not share state across tests (the eviction
+/// differential, the snapshot property tests) pass a private cache.
 ///
-/// The decision is computed exactly as [`datalog_contained_in_ucq_with`]
-/// would (including cache consultation, unless `options.use_cache` is off —
-/// note a cache hit short-circuits the engines, so only the `decision` span
-/// event is recorded for it).  At [`MetricsLevel::Debug`] and above, a
-/// produced counterexample is additionally *verified*: the program is
-/// re-evaluated goal-directed on the counterexample's canonical database,
-/// which is where per-iteration fixpoint events (and the strategy-planner
-/// decision) enter a containment trace.
-pub fn datalog_contained_in_ucq_traced(
-    program: &Program,
-    goal: Pred,
-    ucq: &Ucq,
-    options: DecisionOptions,
-    trace: TraceOptions,
-) -> Result<TracedDecision, DecisionError> {
-    let mut sink = RecordingSink::new(trace.level, trace.max_events);
-    let result = decide_with_sink(
-        crate::cache::DecisionCache::global(),
-        program,
-        goal,
-        ucq,
-        options,
-        &mut sink,
-    )?;
-    if sink.level() >= MetricsLevel::Debug {
-        if let Some(cex) = &result.counterexample {
-            let pattern = datalog::atom::Atom::new(
-                goal,
-                cex.goal_tuple
-                    .iter()
-                    .map(|&c| datalog::term::Term::Const(c))
-                    .collect(),
-            );
-            let eval = datalog::eval::evaluate_goal_with_sink(
-                program,
-                &cex.database,
-                &pattern,
-                datalog::eval::EvalOptions {
-                    strategy: Strategy::Auto,
-                    ..Default::default()
-                },
-                &mut sink,
-            );
-            sink.emit(Event::new(
-                "witness_check",
-                vec![("derived", FieldValue::Flag(!eval.relation(goal).is_empty()))],
-            ));
-        }
-    }
-    Ok(TracedDecision {
-        truncated: sink.truncated(),
-        dropped: sink.dropped,
-        events: sink.events,
-        result,
-    })
-}
-
-/// The shared cached path: validation, cache consultation, and the
-/// registry record plus `Counters`-level `decision` span event around
-/// [`decide_uncached`].
-fn decide_with_sink<S: MetricsSink>(
-    cache: &crate::cache::DecisionCache,
+/// At [`MetricsLevel::Debug`] and above, a produced counterexample is
+/// additionally *verified*: the program is re-evaluated goal-directed on the
+/// counterexample's canonical database, which is where per-iteration
+/// fixpoint events (and the strategy-planner decision) enter a trace,
+/// followed by one `witness_check` event.  The server's `trace` verb is this
+/// call with a [`metrics::RecordingSink`].
+pub fn datalog_contained_in_ucq_in<S: MetricsSink>(
+    cache: &DecisionCache,
     program: &Program,
     goal: Pred,
     ucq: &Ucq,
@@ -329,20 +225,58 @@ fn decide_with_sink<S: MetricsSink>(
         return Err(DecisionError::InconsistentUcq);
     }
     let start = (sink.level() >= MetricsLevel::Counters).then(Instant::now);
-    if options.use_cache {
+    let (result, cache_hit) = if options.use_cache {
         let key = crate::cache::DecisionKey::new(program, goal, ucq, options);
-        if let Some(result) = cache.lookup_decision(&key) {
-            finish_decision(sink, &result, true, options, start);
-            return Ok(result);
+        match cache.lookup_decision(&key) {
+            Some(result) => (result, true),
+            None => {
+                let result = decide_uncached(program, goal, ucq, options, sink)?;
+                cache.store_decision(key, &result);
+                (result, false)
+            }
         }
-        let result = decide_uncached(program, goal, ucq, options, sink)?;
-        cache.store_decision(key, &result);
-        finish_decision(sink, &result, false, options, start);
-        return Ok(result);
+    } else {
+        (decide_uncached(program, goal, ucq, options, sink)?, false)
+    };
+    finish_decision(sink, &result, cache_hit, options, start);
+    if sink.level() >= MetricsLevel::Debug {
+        if let Some(cex) = &result.counterexample {
+            check_witness(program, goal, cex, sink);
+        }
     }
-    let result = decide_uncached(program, goal, ucq, options, sink)?;
-    finish_decision(sink, &result, false, options, start);
     Ok(result)
+}
+
+/// Re-derive a counterexample's goal tuple by goal-directed evaluation of
+/// the program on its canonical database, and emit the `witness_check`
+/// verdict.
+fn check_witness<S: MetricsSink>(
+    program: &Program,
+    goal: Pred,
+    cex: &Counterexample,
+    sink: &mut S,
+) {
+    let pattern = datalog::atom::Atom::new(
+        goal,
+        cex.goal_tuple
+            .iter()
+            .map(|&c| datalog::term::Term::Const(c))
+            .collect(),
+    );
+    let eval = datalog::eval::evaluate_goal_with_sink(
+        program,
+        &cex.database,
+        &pattern,
+        datalog::eval::EvalOptions {
+            strategy: Strategy::Auto,
+            ..Default::default()
+        },
+        sink,
+    );
+    sink.emit(Event::new(
+        "witness_check",
+        vec![("derived", FieldValue::Flag(!eval.relation(goal).is_empty()))],
+    ));
 }
 
 /// Record a completed decision in the registry and, at
@@ -542,12 +476,20 @@ mod tests {
         transitive_closure("e", "e")
     }
 
+    fn decide(
+        program: &Program,
+        goal: Pred,
+        ucq: &Ucq,
+    ) -> Result<ContainmentResult, DecisionError> {
+        datalog_contained_in_ucq_with(program, goal, ucq, DecisionOptions::default())
+    }
+
     #[test]
     fn transitive_closure_not_contained_in_bounded_paths() {
         // TC produces paths of every length, so it is not contained in the
         // union of path queries of length ≤ 3.
         let ucq = bounded_path_ucq_binary("e", 3);
-        let result = datalog_contained_in_ucq(&tc(), Pred::new("p"), &ucq).unwrap();
+        let result = decide(&tc(), Pred::new("p"), &ucq).unwrap();
         assert!(!result.contained);
         assert_eq!(result.stats.path, DecisionPath::WordAutomata);
 
@@ -566,7 +508,7 @@ mod tests {
         // Π: p(X, Y) :- e(X, Y).  Θ: q(X, Y) :- e(X, Y).  Containment holds.
         let program = parse_program("p(X, Y) :- e(X, Y).").unwrap();
         let ucq = Ucq::parse("q(X, Y) :- e(X, Y).").unwrap();
-        let result = datalog_contained_in_ucq(&program, Pred::new("p"), &ucq).unwrap();
+        let result = decide(&program, Pred::new("p"), &ucq).unwrap();
         assert!(result.contained);
         assert!(result.counterexample.is_none());
     }
@@ -578,7 +520,7 @@ mod tests {
         // contained in the Boolean query ∃ e.  Arities differ (2 vs 0), so
         // we phrase Θ with the same arity but existential body.
         let ucq = Ucq::parse("q(X, Y) :- e(U, V).").unwrap();
-        let result = datalog_contained_in_ucq(&tc(), Pred::new("p"), &ucq).unwrap();
+        let result = decide(&tc(), Pred::new("p"), &ucq).unwrap();
         assert!(result.contained);
     }
 
@@ -586,7 +528,7 @@ mod tests {
     fn tc_contained_in_reachability_superset_fails_for_wrong_edge() {
         // Θ uses a different EDB predicate; containment must fail.
         let ucq = Ucq::parse("q(X, Y) :- f(X, Y).").unwrap();
-        let result = datalog_contained_in_ucq(&tc(), Pred::new("p"), &ucq).unwrap();
+        let result = decide(&tc(), Pred::new("p"), &ucq).unwrap();
         assert!(!result.contained);
     }
 
@@ -595,8 +537,8 @@ mod tests {
         let linear = tc();
         let nonlinear = transitive_closure_nonlinear("e");
         let ucq = bounded_path_ucq_binary("e", 2);
-        let r1 = datalog_contained_in_ucq(&linear, Pred::new("p"), &ucq).unwrap();
-        let r2 = datalog_contained_in_ucq(&nonlinear, Pred::new("p"), &ucq).unwrap();
+        let r1 = decide(&linear, Pred::new("p"), &ucq).unwrap();
+        let r2 = decide(&nonlinear, Pred::new("p"), &ucq).unwrap();
         assert_eq!(r1.contained, r2.contained);
         assert!(!r2.contained);
         assert_eq!(r2.stats.path, DecisionPath::TreeAutomata);
@@ -620,7 +562,7 @@ mod tests {
              buys(X, Y) :- trendy(X), likes(Z, Y).",
         )
         .unwrap();
-        let result = datalog_contained_in_ucq(&program, Pred::new("buys"), &ucq).unwrap();
+        let result = decide(&program, Pred::new("buys"), &ucq).unwrap();
         assert!(result.contained, "Π₁ ⊆ Θ must hold (Example 1.1)");
     }
 
@@ -636,7 +578,7 @@ mod tests {
              buys(X, Y) :- knows(X, Z), likes(Z, Y).",
         )
         .unwrap();
-        let result = datalog_contained_in_ucq(&program, Pred::new("buys"), &ucq).unwrap();
+        let result = decide(&program, Pred::new("buys"), &ucq).unwrap();
         assert!(!result.contained, "Π₂ ⊄ Θ (Example 1.1)");
         // Verify the counterexample concretely.
         let cex = result.counterexample.unwrap();
@@ -684,27 +626,19 @@ mod tests {
         .unwrap();
         let yes = Ucq::parse("q :- e(U, V).").unwrap();
         let no = Ucq::parse("q :- e(U, U).").unwrap();
-        assert!(
-            datalog_contained_in_ucq(&program, Pred::new("c"), &yes)
-                .unwrap()
-                .contained
-        );
-        assert!(
-            !datalog_contained_in_ucq(&program, Pred::new("c"), &no)
-                .unwrap()
-                .contained
-        );
+        assert!(decide(&program, Pred::new("c"), &yes).unwrap().contained);
+        assert!(!decide(&program, Pred::new("c"), &no).unwrap().contained);
     }
 
     #[test]
     fn unknown_goal_and_inconsistent_ucq_are_errors() {
         let ucq = Ucq::parse("q(X) :- e(X, Y).\nq(X, Y) :- e(X, Y).").unwrap();
         assert_eq!(
-            datalog_contained_in_ucq(&tc(), Pred::new("zzz"), &Ucq::empty()).unwrap_err(),
+            decide(&tc(), Pred::new("zzz"), &Ucq::empty()).unwrap_err(),
             DecisionError::UnknownGoal(Pred::new("zzz"))
         );
         assert_eq!(
-            datalog_contained_in_ucq(&tc(), Pred::new("p"), &ucq).unwrap_err(),
+            decide(&tc(), Pred::new("p"), &ucq).unwrap_err(),
             DecisionError::InconsistentUcq
         );
     }
@@ -713,14 +647,14 @@ mod tests {
     fn empty_ucq_contains_only_programs_with_empty_goal() {
         // TC derives facts, so it is not contained in the empty union…
         assert!(
-            !datalog_contained_in_ucq(&tc(), Pred::new("p"), &Ucq::empty())
+            !decide(&tc(), Pred::new("p"), &Ucq::empty())
                 .unwrap()
                 .contained
         );
         // …but a program with no exit rule is.
         let no_exit = parse_program("p(X, Y) :- e(X, Z), p(Z, Y).").unwrap();
         assert!(
-            datalog_contained_in_ucq(&no_exit, Pred::new("p"), &Ucq::empty())
+            decide(&no_exit, Pred::new("p"), &Ucq::empty())
                 .unwrap()
                 .contained
         );
@@ -739,22 +673,14 @@ mod tests {
              p(X, Y) :- e(X, Y).",
         )
         .unwrap();
-        assert!(
-            datalog_contained_in_ucq(&program, Pred::new("c"), &one)
-                .unwrap()
-                .contained
-        );
-        assert!(
-            !datalog_contained_in_ucq(&program, Pred::new("c"), &two)
-                .unwrap()
-                .contained
-        );
+        assert!(decide(&program, Pred::new("c"), &one).unwrap().contained);
+        assert!(!decide(&program, Pred::new("c"), &two).unwrap().contained);
     }
 
     #[test]
     fn stats_are_populated() {
         let ucq = bounded_path_ucq_binary("e", 2);
-        let result = datalog_contained_in_ucq(&tc(), Pred::new("p"), &ucq).unwrap();
+        let result = decide(&tc(), Pred::new("p"), &ucq).unwrap();
         assert!(result.stats.ptrees.states > 0);
         assert!(result.stats.queries.states > 0);
         assert!(result.stats.explored > 0);
@@ -762,6 +688,7 @@ mod tests {
 
     #[test]
     fn traced_decision_matches_untraced_and_records_events() {
+        use metrics::RecordingSink;
         use std::collections::BTreeSet;
         let ucq = bounded_path_ucq_binary("e", 3);
         // Force the tree path (per-pop events) and skip the cache so the
@@ -772,21 +699,20 @@ mod tests {
             ..DecisionOptions::default()
         };
         let plain = datalog_contained_in_ucq_with(&tc(), Pred::new("p"), &ucq, options).unwrap();
-        let traced = datalog_contained_in_ucq_traced(
+        let mut sink = RecordingSink::new(MetricsLevel::Trace, usize::MAX);
+        let traced = datalog_contained_in_ucq_in(
+            DecisionCache::global(),
             &tc(),
             Pred::new("p"),
             &ucq,
             options,
-            TraceOptions {
-                level: MetricsLevel::Trace,
-                max_events: usize::MAX,
-            },
+            &mut sink,
         )
         .unwrap();
-        assert_eq!(plain.contained, traced.result.contained);
-        assert_eq!(plain.stats.explored, traced.result.stats.explored);
-        assert!(!traced.truncated);
-        let kinds: BTreeSet<&str> = traced.events.iter().map(|e| e.kind).collect();
+        assert_eq!(plain.contained, traced.contained);
+        assert_eq!(plain.stats.explored, traced.stats.explored);
+        assert!(!sink.truncated());
+        let kinds: BTreeSet<&str> = sink.events.iter().map(|e| e.kind).collect();
         for kind in [
             "pop",
             "propagate",
@@ -800,38 +726,38 @@ mod tests {
             assert!(kinds.contains(kind), "missing event kind {kind}");
         }
         // The witness check must re-derive the counterexample's goal tuple.
-        let check = traced
+        let check = sink
             .events
             .iter()
             .find(|e| e.kind == "witness_check")
             .unwrap();
         assert_eq!(check.flag("derived"), Some(true));
-        let span = traced.events.iter().find(|e| e.kind == "decision").unwrap();
+        let span = sink.events.iter().find(|e| e.kind == "decision").unwrap();
         assert_eq!(span.flag("cache_hit"), Some(false));
         assert_eq!(span.text("path"), Some("tree"));
     }
 
     #[test]
     fn traced_decision_honours_the_event_budget() {
+        use metrics::RecordingSink;
         let ucq = bounded_path_ucq_binary("e", 3);
         let options = DecisionOptions {
             use_cache: false,
             allow_word_path: false,
             ..DecisionOptions::default()
         };
-        let small = datalog_contained_in_ucq_traced(
+        let mut sink = RecordingSink::new(MetricsLevel::Trace, 3);
+        datalog_contained_in_ucq_in(
+            DecisionCache::global(),
             &tc(),
             Pred::new("p"),
             &ucq,
             options,
-            TraceOptions {
-                level: MetricsLevel::Trace,
-                max_events: 3,
-            },
+            &mut sink,
         )
         .unwrap();
-        assert!(small.truncated);
-        assert_eq!(small.events.len(), 3);
-        assert!(small.dropped > 0);
+        assert!(sink.truncated());
+        assert_eq!(sink.events.len(), 3);
+        assert!(sink.dropped > 0);
     }
 }

@@ -26,15 +26,8 @@ use datalog::term::Term;
 use metrics::global::StrategyDecision;
 
 /// Is the conjunctive query contained in the Datalog program's goal
-/// predicate?  Evaluates with the default (indexed) strategy; see
-/// [`cq_contained_in_datalog_with`] to pin a strategy for differential
-/// comparison or to opt into goal-directed (magic-set) evaluation.
-pub fn cq_contained_in_datalog(theta: &ConjunctiveQuery, program: &Program, goal: Pred) -> bool {
-    cq_contained_in_datalog_with(theta, program, goal, EvalOptions::default().strategy)
-}
-
-/// [`cq_contained_in_datalog`] with an explicit evaluation strategy.  The
-/// decision is strategy-independent (all strategies compute the same goal
+/// predicate, evaluating under `strategy`?  The decision is
+/// strategy-independent (all strategies compute the same goal
 /// relation — see `tests/strategy_differential.rs`); the knob exists so the
 /// decision procedures can be cross-checked against the naive reference
 /// engine and so callers can opt into [`Strategy::Magic`], which seeds the
@@ -81,7 +74,8 @@ pub fn cq_contained_in_datalog_with(
     result.relation(goal).contains(&frozen.head_tuple)
 }
 
-/// As [`cq_contained_in_datalog`], memoised in the shared
+/// As [`cq_contained_in_datalog_with`] under [`Strategy::Auto`], memoised
+/// in the shared
 /// [`crate::cache::DecisionCache`] under a precomputed program key (so
 /// callers checking many disjuncts against the same program intern the
 /// program once).  A cache miss is computed under [`Strategy::Auto`].
@@ -102,13 +96,8 @@ pub fn cq_contained_in_datalog_keyed(
 }
 
 /// Is every disjunct of the union contained in the program (i.e. is the
-/// union contained in the program)?
-pub fn ucq_contained_in_datalog(ucq: &Ucq, program: &Program, goal: Pred) -> bool {
-    ucq_contained_in_datalog_with(ucq, program, goal, EvalOptions::default().strategy)
-}
-
-/// As [`ucq_contained_in_datalog`], with an explicit evaluation strategy for
-/// the per-disjunct canonical-database checks.
+/// union contained in the program), evaluating each canonical-database
+/// check under `strategy`?
 pub fn ucq_contained_in_datalog_with(
     ucq: &Ucq,
     program: &Program,
@@ -130,12 +119,17 @@ mod tests {
         transitive_closure("e", "e")
     }
 
+    /// Decide under the default evaluation strategy.
+    fn contained(theta: &ConjunctiveQuery, program: &Program, goal: Pred) -> bool {
+        cq_contained_in_datalog_with(theta, program, goal, EvalOptions::default().strategy)
+    }
+
     #[test]
     fn path_queries_are_contained_in_transitive_closure() {
         for n in 1..=5 {
             let q = cq::generate::path_query("e", n);
             assert!(
-                cq_contained_in_datalog(&q, &tc(), Pred::new("p")),
+                contained(&q, &tc(), Pred::new("p")),
                 "path of length {n} must be contained in TC"
             );
         }
@@ -144,22 +138,33 @@ mod tests {
     #[test]
     fn wrong_predicate_queries_are_not_contained() {
         let q = ConjunctiveQuery::parse("q(X, Y) :- f(X, Y).").unwrap();
-        assert!(!cq_contained_in_datalog(&q, &tc(), Pred::new("p")));
+        assert!(!contained(&q, &tc(), Pred::new("p")));
     }
 
     #[test]
     fn disconnected_query_is_not_contained() {
         // Two separate edges do not witness a path between the endpoints.
         let q = ConjunctiveQuery::parse("q(X, Y) :- e(X, A), e(B, Y).").unwrap();
-        assert!(!cq_contained_in_datalog(&q, &tc(), Pred::new("p")));
+        assert!(!contained(&q, &tc(), Pred::new("p")));
     }
 
     #[test]
     fn ucq_containment_requires_every_disjunct() {
         let ok = Ucq::parse("q(X, Y) :- e(X, Y).\nq(X, Y) :- e(X, Z), e(Z, Y).").unwrap();
         let mixed = Ucq::parse("q(X, Y) :- e(X, Y).\nq(X, Y) :- f(X, Y).").unwrap();
-        assert!(ucq_contained_in_datalog(&ok, &tc(), Pred::new("p")));
-        assert!(!ucq_contained_in_datalog(&mixed, &tc(), Pred::new("p")));
+        let strategy = EvalOptions::default().strategy;
+        assert!(ucq_contained_in_datalog_with(
+            &ok,
+            &tc(),
+            Pred::new("p"),
+            strategy
+        ));
+        assert!(!ucq_contained_in_datalog_with(
+            &mixed,
+            &tc(),
+            Pred::new("p"),
+            strategy
+        ));
     }
 
     #[test]
@@ -190,7 +195,7 @@ mod tests {
     fn repeated_head_variables_freeze_correctly() {
         // q(X, X) :- e(X, X): a self-loop, which TC derives as p(a, a).
         let q = ConjunctiveQuery::parse("q(X, X) :- e(X, X).").unwrap();
-        assert!(cq_contained_in_datalog(&q, &tc(), Pred::new("p")));
+        assert!(contained(&q, &tc(), Pred::new("p")));
     }
 
     #[test]
@@ -203,9 +208,9 @@ mod tests {
         )
         .unwrap();
         let q = ConjunctiveQuery::parse("q(X, Y) :- e(X, Y).").unwrap();
-        assert!(cq_contained_in_datalog(&q, &program, Pred::new("r")));
+        assert!(contained(&q, &program, Pred::new("r")));
         let three = cq::generate::path_query("e", 3);
-        assert!(!cq_contained_in_datalog(&three, &program, Pred::new("r")));
+        assert!(!contained(&three, &program, Pred::new("r")));
     }
 
     #[test]

@@ -80,15 +80,6 @@ pub struct NonrecursiveContainment {
 }
 
 /// Decide `Π(goal) ⊆ Π'(goal)` where Π' is nonrecursive (Theorem 6.4).
-pub fn datalog_contained_in_nonrecursive(
-    program: &Program,
-    goal: Pred,
-    nonrecursive: &Program,
-) -> Result<NonrecursiveContainment, EquivalenceError> {
-    datalog_contained_in_nonrecursive_with(program, goal, nonrecursive, DecisionOptions::default())
-}
-
-/// As [`datalog_contained_in_nonrecursive`], with explicit decision options.
 pub fn datalog_contained_in_nonrecursive_with(
     program: &Program,
     goal: Pred,
@@ -105,32 +96,37 @@ pub fn datalog_contained_in_nonrecursive_with(
     })
 }
 
-/// Decide `Π'(goal) ⊆ Π(goal)` where Π' is nonrecursive: unfold Π' and check
-/// every disjunct by the canonical-database method.  Returns the index of a
-/// violating disjunct on failure.  Decisions are memoised in the shared
-/// [`crate::cache::DecisionCache`]; see
-/// [`nonrecursive_contained_in_datalog_with`] for the uncached oracle.
-pub fn nonrecursive_contained_in_datalog(
-    nonrecursive: &Program,
-    goal: Pred,
-    program: &Program,
-) -> Result<Result<(), usize>, EquivalenceError> {
-    nonrecursive_contained_in_datalog_with(nonrecursive, goal, program, true, usize::MAX)
-}
-
-/// As [`nonrecursive_contained_in_datalog`], with the per-disjunct
-/// canonical-database checks optionally bypassing the shared cache and the
-/// unfolding bounded by `max_unfold` disjuncts (`usize::MAX`: unbounded).
-/// Every check evaluates under [`Strategy::Auto`]: the planner picks
-/// goal-directed (magic-set) evaluation when the adorned goal can prune.
+/// Decide `Π'(goal) ⊆ Π(goal)` where Π' is nonrecursive: unfold Π' (bounded
+/// by `options.max_unfold` disjuncts) and check every disjunct by the
+/// canonical-database method.  Returns the index of a violating disjunct on
+/// failure.  With `options.use_cache` the per-disjunct checks are memoised
+/// in the shared [`crate::cache::DecisionCache`]; without it they run the
+/// uncached oracle.
 pub fn nonrecursive_contained_in_datalog_with(
     nonrecursive: &Program,
     goal: Pred,
     program: &Program,
-    use_cache: bool,
-    max_unfold: usize,
+    options: DecisionOptions,
 ) -> Result<Result<(), usize>, EquivalenceError> {
-    let unfolding = unfold_nonrecursive(nonrecursive, goal, max_unfold)?;
+    let unfolding = unfold_nonrecursive(nonrecursive, goal, options.max_unfold)?;
+    Ok(unfolding_contained_in_datalog(
+        &unfolding,
+        program,
+        goal,
+        options.use_cache,
+    ))
+}
+
+/// The canonical-database checks of an unfolding against Π, in disjunct
+/// order, stopping at the first violating disjunct.  Every check evaluates
+/// under [`Strategy::Auto`]: the planner picks goal-directed (magic-set)
+/// evaluation when the adorned goal can prune.
+fn unfolding_contained_in_datalog(
+    unfolding: &Ucq,
+    program: &Program,
+    goal: Pred,
+    use_cache: bool,
+) -> Result<(), usize> {
     let program_key = use_cache.then(|| crate::cache::ProgramKey::of(program));
     for (index, disjunct) in unfolding.disjuncts.iter().enumerate() {
         let contained = match &program_key {
@@ -140,10 +136,10 @@ pub fn nonrecursive_contained_in_datalog_with(
             None => cq_contained_in_datalog_with(disjunct, program, goal, Strategy::Auto),
         };
         if !contained {
-            return Ok(Err(index));
+            return Err(index);
         }
     }
-    Ok(Ok(()))
+    Ok(())
 }
 
 /// Which direction of an equivalence check failed.
@@ -155,7 +151,8 @@ pub enum EquivalenceVerdict {
     /// the counterexample exhibits such a database and tuple.
     RecursiveExceeds(Box<Counterexample>),
     /// The nonrecursive program derives facts the recursive one does not;
-    /// the payload is the index of a violating disjunct of its unfolding.
+    /// the payload is the index of a violating disjunct of
+    /// [`EquivalenceResult::unfolding`].
     NonrecursiveExceeds(usize),
 }
 
@@ -171,47 +168,39 @@ impl EquivalenceVerdict {
 pub struct EquivalenceResult {
     /// The verdict, with a witness when the programs differ.
     pub verdict: EquivalenceVerdict,
-    /// Instrumentation of the Π ⊆ Π' direction (when it was run).
-    pub containment: Option<NonrecursiveContainment>,
+    /// The unfolding of Π' both directions were decided on.
+    pub unfolding: Ucq,
+    /// The Π ⊆ Π' decision, when the Π' ⊆ Π direction held and it ran.
+    pub containment: Option<ContainmentResult>,
 }
 
 /// Decide whether a (recursive) program and a nonrecursive program are
 /// equivalent on the given goal predicate (Theorem 6.5, Corollary 3.3).
-pub fn equivalent_to_nonrecursive(
-    program: &Program,
-    goal: Pred,
-    nonrecursive: &Program,
-) -> Result<EquivalenceResult, EquivalenceError> {
-    equivalent_to_nonrecursive_with(program, goal, nonrecursive, DecisionOptions::default())
-}
-
-/// As [`equivalent_to_nonrecursive`], with explicit decision options.
+///
+/// Π' is unfolded once; the canonical-database checks (Π' ⊆ Π) and the
+/// automata containment (Π ⊆ Π') both run on that one unfolding.
 pub fn equivalent_to_nonrecursive_with(
     program: &Program,
     goal: Pred,
     nonrecursive: &Program,
     options: DecisionOptions,
 ) -> Result<EquivalenceResult, EquivalenceError> {
+    let unfolding = unfold_nonrecursive(nonrecursive, goal, options.max_unfold)?;
     // Cheap direction first: Π' ⊆ Π by canonical databases.
-    if let Err(index) = nonrecursive_contained_in_datalog_with(
-        nonrecursive,
-        goal,
-        program,
-        options.use_cache,
-        options.max_unfold,
-    )? {
+    if let Err(index) = unfolding_contained_in_datalog(&unfolding, program, goal, options.use_cache)
+    {
         return Ok(EquivalenceResult {
             verdict: EquivalenceVerdict::NonrecursiveExceeds(index),
+            unfolding,
             containment: None,
         });
     }
     // Expensive direction: Π ⊆ Π' via the automata construction.
-    let containment = datalog_contained_in_nonrecursive_with(program, goal, nonrecursive, options)?;
-    let verdict = if containment.result.contained {
+    let containment = datalog_contained_in_ucq_with(program, goal, &unfolding, options)?;
+    let verdict = if containment.contained {
         EquivalenceVerdict::Equivalent
     } else {
         let counterexample = containment
-            .result
             .counterexample
             .clone()
             .expect("non-containment always carries a counterexample");
@@ -219,6 +208,7 @@ pub fn equivalent_to_nonrecursive_with(
     };
     Ok(EquivalenceResult {
         verdict,
+        unfolding,
         containment: Some(containment),
     })
 }
@@ -228,6 +218,11 @@ mod tests {
     use super::*;
     use datalog::eval::evaluate;
     use datalog::parser::parse_program;
+
+    fn equivalent(program: &Program, goal: Pred, nonrecursive: &Program) -> EquivalenceResult {
+        equivalent_to_nonrecursive_with(program, goal, nonrecursive, DecisionOptions::default())
+            .unwrap()
+    }
 
     fn buys1() -> Program {
         parse_program(
@@ -263,8 +258,7 @@ mod tests {
 
     #[test]
     fn example_1_1_pi1_is_equivalent_to_its_nonrecursive_form() {
-        let result =
-            equivalent_to_nonrecursive(&buys1(), Pred::new("buys"), &buys1_nonrec()).unwrap();
+        let result = equivalent(&buys1(), Pred::new("buys"), &buys1_nonrec());
         assert!(
             result.verdict.is_equivalent(),
             "Example 1.1: Π₁ ≡ nonrecursive form"
@@ -273,8 +267,7 @@ mod tests {
 
     #[test]
     fn example_1_1_pi2_is_not_equivalent_and_the_witness_checks_out() {
-        let result =
-            equivalent_to_nonrecursive(&buys2(), Pred::new("buys"), &buys2_nonrec()).unwrap();
+        let result = equivalent(&buys2(), Pred::new("buys"), &buys2_nonrec());
         match result.verdict {
             EquivalenceVerdict::RecursiveExceeds(cex) => {
                 // Verify the counterexample by brute force.
@@ -298,7 +291,7 @@ mod tests {
              r(X, Y) :- e(X, Z), e(Z, Y).",
         )
         .unwrap();
-        let result = equivalent_to_nonrecursive(&program, Pred::new("r"), &nonrec).unwrap();
+        let result = equivalent(&program, Pred::new("r"), &nonrec);
         assert!(matches!(
             result.verdict,
             EquivalenceVerdict::NonrecursiveExceeds(_)
@@ -318,7 +311,7 @@ mod tests {
              p(X, Y) :- e(X, Z), e(Z, Y).",
         )
         .unwrap();
-        let result = equivalent_to_nonrecursive(&tc, Pred::new("p"), &bounded).unwrap();
+        let result = equivalent(&tc, Pred::new("p"), &bounded);
         match result.verdict {
             EquivalenceVerdict::RecursiveExceeds(cex) => {
                 assert_eq!(cex.expansion.body.len(), 3, "shortest gap is the 3-path");
@@ -329,8 +322,13 @@ mod tests {
 
     #[test]
     fn containment_direction_reports_unfold_stats() {
-        let r = datalog_contained_in_nonrecursive(&buys1(), Pred::new("buys"), &buys1_nonrec())
-            .unwrap();
+        let r = datalog_contained_in_nonrecursive_with(
+            &buys1(),
+            Pred::new("buys"),
+            &buys1_nonrec(),
+            DecisionOptions::default(),
+        )
+        .unwrap();
         assert!(r.result.contained);
         assert_eq!(r.unfold_stats.disjuncts, 2);
         assert_eq!(r.unfolding.len(), 2);
@@ -338,8 +336,13 @@ mod tests {
 
     #[test]
     fn recursive_comparison_program_is_rejected() {
-        let err =
-            datalog_contained_in_nonrecursive(&buys1(), Pred::new("buys"), &buys2()).unwrap_err();
+        let err = datalog_contained_in_nonrecursive_with(
+            &buys1(),
+            Pred::new("buys"),
+            &buys2(),
+            DecisionOptions::default(),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             EquivalenceError::Unfold(UnfoldError::Recursive)
@@ -350,7 +353,7 @@ mod tests {
     fn identical_nonrecursive_programs_are_equivalent() {
         // Both inputs nonrecursive: the procedure still applies.
         let p = buys1_nonrec();
-        let result = equivalent_to_nonrecursive(&p, Pred::new("buys"), &p).unwrap();
+        let result = equivalent(&p, Pred::new("buys"), &p);
         assert!(result.verdict.is_equivalent());
     }
 }

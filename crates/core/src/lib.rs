@@ -21,6 +21,16 @@
 //! | First-order properties of expansions, e.g. strong non-redundancy (§3) | [`properties`] |
 //! | Semantics-preserving program rewrites built on containment (§1 motivation) | [`mod@optimize`] |
 //!
+//! ## Entry points
+//!
+//! A `Π(goal) ⊆ Θ` decision has two ways in:
+//! [`containment::datalog_contained_in_ucq_in`] takes the
+//! [`DecisionCache`] and the [`metrics::MetricsSink`] explicitly, and
+//! [`containment::datalog_contained_in_ucq_with`] is the same call with
+//! [`DecisionCache::global`] and [`metrics::NoMetrics`].  Every other
+//! procedure takes its [`DecisionOptions`] explicitly; there are no
+//! default-argument twins, so callers pass `DecisionOptions::default()`.
+//!
 //! ## Quick start
 //!
 //! Example 1.1 of the paper, end to end:
@@ -28,7 +38,8 @@
 //! ```
 //! use datalog::parser::parse_program;
 //! use datalog::atom::Pred;
-//! use nonrec_equivalence::equivalence::equivalent_to_nonrecursive;
+//! use nonrec_equivalence::equivalence::equivalent_to_nonrecursive_with;
+//! use nonrec_equivalence::DecisionOptions;
 //!
 //! // Π₂: buys via "knows" chains — inherently recursive.
 //! let recursive = parse_program(
@@ -39,7 +50,13 @@
 //!     "buys(X, Y) :- likes(X, Y).\n\
 //!      buys(X, Y) :- knows(X, Z), likes(Z, Y).").unwrap();
 //!
-//! let result = equivalent_to_nonrecursive(&recursive, Pred::new("buys"), &nonrecursive).unwrap();
+//! let result = equivalent_to_nonrecursive_with(
+//!     &recursive,
+//!     Pred::new("buys"),
+//!     &nonrecursive,
+//!     DecisionOptions::default(),
+//! )
+//! .unwrap();
 //! assert!(!result.verdict.is_equivalent());
 //! ```
 
@@ -64,17 +81,14 @@ pub mod unify;
 
 pub use cache::{CacheLimits, CacheSizes, CacheStats, DecisionCache, ProgramKey};
 pub use containment::{
-    datalog_contained_in_ucq, datalog_contained_in_ucq_traced, ContainmentResult, Counterexample,
-    DecisionOptions, TraceOptions, TracedDecision,
+    datalog_contained_in_ucq_in, datalog_contained_in_ucq_with, ContainmentResult, Counterexample,
+    DecisionOptions,
 };
-pub use cq_in_datalog::{
-    cq_contained_in_datalog, cq_contained_in_datalog_with, ucq_contained_in_datalog,
-    ucq_contained_in_datalog_with,
-};
+pub use cq_in_datalog::{cq_contained_in_datalog_with, ucq_contained_in_datalog_with};
 pub use equivalence::{
-    datalog_contained_in_nonrecursive, equivalent_to_nonrecursive, EquivalenceResult,
+    datalog_contained_in_nonrecursive_with, equivalent_to_nonrecursive_with, EquivalenceResult,
     EquivalenceVerdict,
 };
-pub use optimize::{eliminate_recursion, optimize, OptimizeOptions, OptimizeReport};
+pub use optimize::{eliminate_recursion_with, optimize, OptimizeOptions, OptimizeReport};
 pub use snapshot::{SnapshotError, SNAPSHOT_VERSION};
-pub use unfold::{expansions_up_to_depth, expansions_up_to_depth_limited, unfold_nonrecursive};
+pub use unfold::{expansions_up_to_depth_limited, unfold_nonrecursive};

@@ -16,7 +16,7 @@
 //! * [`inline_nonrecursive_predicates`] — resolve away non-recursive
 //!   intermediate predicates, trading rule count for rule size (the inverse
 //!   of the succinctness phenomenon of Examples 6.1–6.3).
-//! * [`eliminate_recursion`] — Example 1.1 as a transformation: when the
+//! * [`eliminate_recursion_with`] — Example 1.1 as a transformation: when the
 //!   program is equivalent to its depth-`k` unfolding (decided by
 //!   [`crate::bounded`]), return that unfolding as a nonrecursive program.
 //!
@@ -332,18 +332,9 @@ pub fn inline_nonrecursive_predicates(program: &Program, goal: Pred, rule_limit:
 /// Recursion elimination (Example 1.1 as a transformation): if the program
 /// is equivalent to its depth-`k` unfolding for some `k ≤ max_depth`,
 /// return that unfolding as a nonrecursive program with the same goal
-/// predicate; otherwise return `Ok(None)`.
-pub fn eliminate_recursion(
-    program: &Program,
-    goal: Pred,
-    max_depth: usize,
-) -> Result<Option<Program>, DecisionError> {
-    eliminate_recursion_with(program, goal, max_depth, DecisionOptions::default())
-}
-
-/// As [`eliminate_recursion`], with explicit decision options.  The default
-/// options share the [`DecisionCache`], so a boundedness probe already paid
-/// for by [`crate::bounded::find_bound`] is never re-decided here.
+/// predicate; otherwise return `Ok(None)`.  The default options share the
+/// [`DecisionCache`], so a boundedness probe already paid for by
+/// [`crate::bounded::find_bound_with`] is never re-decided here.
 pub fn eliminate_recursion_with(
     program: &Program,
     goal: Pred,
@@ -528,9 +519,10 @@ mod tests {
              buys(X, Y) :- trendy(X), buys(Z, Y).",
         )
         .unwrap();
-        let nonrec = eliminate_recursion(&bounded, Pred::new("buys"), 3)
-            .unwrap()
-            .expect("Π₁ of Example 1.1 is bounded");
+        let nonrec =
+            eliminate_recursion_with(&bounded, Pred::new("buys"), 3, DecisionOptions::default())
+                .unwrap()
+                .expect("Π₁ of Example 1.1 is bounded");
         assert!(nonrec.is_nonrecursive());
         assert_eq!(nonrec.len(), 2);
 
@@ -539,9 +531,14 @@ mod tests {
              buys(X, Y) :- knows(X, Z), buys(Z, Y).",
         )
         .unwrap();
-        assert!(eliminate_recursion(&unbounded, Pred::new("buys"), 3)
-            .unwrap()
-            .is_none());
+        assert!(eliminate_recursion_with(
+            &unbounded,
+            Pred::new("buys"),
+            3,
+            DecisionOptions::default()
+        )
+        .unwrap()
+        .is_none());
     }
 
     #[test]

@@ -688,6 +688,7 @@ mod tests {
                 Pred::new("p"),
                 &ucq,
                 DecisionOptions::default(),
+                &mut metrics::NoMetrics,
             )
             .unwrap();
         }

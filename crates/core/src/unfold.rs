@@ -8,7 +8,7 @@
 //!   3EXPTIME bound of Theorem 6.4.  [`unfold_nonrecursive`] performs the
 //!   rewriting and reports size statistics.
 //! * For a **recursive** program the set of expansions is infinite;
-//!   [`expansions_up_to_depth`] enumerates the expansions of unfolding
+//!   [`expansions_up_to_depth_limited`] enumerates the expansions of unfolding
 //!   trees of bounded height, which is what the boundedness tools
 //!   ([`crate::bounded`]) and the differential tests use.
 
@@ -116,16 +116,11 @@ pub fn unfold_nonrecursive(
 /// The expansions of unfolding trees of height at most `depth` for the goal
 /// predicate.  Works for recursive programs; the result under-approximates
 /// `Q_Π` and converges to it as `depth` grows.
-pub fn expansions_up_to_depth(program: &Program, goal: Pred, depth: usize) -> Ucq {
-    expansions_up_to_depth_limited(program, goal, depth, usize::MAX)
-        .expect("unbounded depth-limited expansion cannot fail")
-}
-
-/// As [`expansions_up_to_depth`], but aborting with
-/// [`UnfoldError::TooLarge`] once any predicate accumulates more than
-/// `limit` expansions — the expansion count grows exponentially in `depth`
-/// for nonlinear programs, and long-running callers (the server's
-/// `bounded` verb) must be able to bound that phase.
+///
+/// Aborts with [`UnfoldError::TooLarge`] once any predicate accumulates
+/// more than `limit` expansions (`usize::MAX`: never) — the expansion count
+/// grows exponentially in `depth` for nonlinear programs, and long-running
+/// callers (the server's `bounded` verb) must be able to bound that phase.
 pub fn expansions_up_to_depth_limited(
     program: &Program,
     goal: Pred,
@@ -344,11 +339,11 @@ mod tests {
         let tc = transitive_closure("e", "e");
         let goal = Pred::new("p");
         // Depth 1: only the exit rule fires → the single-edge query.
-        let d1 = expansions_up_to_depth(&tc, goal, 1);
+        let d1 = expansions_up_to_depth_limited(&tc, goal, 1, usize::MAX).unwrap();
         assert_eq!(d1.len(), 1);
         assert_eq!(d1.disjuncts[0].body.len(), 1);
         // Depth 3: paths of length 1, 2, 3.
-        let d3 = expansions_up_to_depth(&tc, goal, 3);
+        let d3 = expansions_up_to_depth_limited(&tc, goal, 3, usize::MAX).unwrap();
         assert_eq!(d3.len(), 3);
         let mut lengths: Vec<usize> = d3.disjuncts.iter().map(|d| d.body.len()).collect();
         lengths.sort();
@@ -362,8 +357,8 @@ mod tests {
     fn bounded_expansions_grow_monotonically() {
         let tc = transitive_closure("e", "e");
         let goal = Pred::new("p");
-        let d2 = expansions_up_to_depth(&tc, goal, 2);
-        let d4 = expansions_up_to_depth(&tc, goal, 4);
+        let d2 = expansions_up_to_depth_limited(&tc, goal, 2, usize::MAX).unwrap();
+        let d4 = expansions_up_to_depth_limited(&tc, goal, 4, usize::MAX).unwrap();
         assert!(cq::containment::ucq_contained_in(&d2, &d4));
         assert!(!cq::containment::ucq_contained_in(&d4, &d2));
     }

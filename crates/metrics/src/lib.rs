@@ -196,6 +196,10 @@ pub struct RecordingSink {
     pub dropped: usize,
 }
 
+/// The event budget of a trace whose caller sets none: the `trace` verb's
+/// `max_events` default and the `nonrec --trace-level` budget.
+pub const DEFAULT_MAX_EVENTS: usize = 512;
+
 impl RecordingSink {
     /// A sink that records at `level`, keeping at most `max_events` events.
     pub fn new(level: MetricsLevel, max_events: usize) -> RecordingSink {

@@ -14,15 +14,17 @@ use cq::{ConjunctiveQuery, CqKey, Ucq};
 use datalog::atom::Pred;
 use datalog::parser::parse_program;
 use datalog::program::Program;
+use metrics::{MetricsSink, RecordingSink};
 use nonrec_equivalence::bounded::find_bound_with;
 use nonrec_equivalence::cache::DecisionCache;
 use nonrec_equivalence::containment::{
-    datalog_contained_in_ucq_traced, datalog_contained_in_ucq_with, ContainmentStats,
-    Counterexample, DecisionOptions, DecisionPath, TraceOptions,
+    datalog_contained_in_ucq_in, datalog_contained_in_ucq_with, ContainmentResult,
+    ContainmentStats, Counterexample, DecisionOptions, DecisionPath,
 };
 use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive_with, EquivalenceVerdict};
 use nonrec_equivalence::optimize::{eliminate_recursion_with, optimize, OptimizeOptions};
 use nonrec_equivalence::proof_tree::{render_proof_tree, ProofTree};
+use nonrec_equivalence::unfold::UnfoldStats;
 
 use crate::json::{obj, Value};
 use crate::protocol::{Command, RequestOptions, WireError};
@@ -32,11 +34,12 @@ use crate::protocol::{Command, RequestOptions, WireError};
 /// repo's whole generated differential suite stays well under it.
 pub const DEFAULT_MAX_PAIRS: usize = 5_000_000;
 
-/// Input-size caps for the `optimize` verb.  Its CQ-containment oracle is
-/// a homomorphism search (exponential in rule size in the worst case) and
-/// has no `max_pairs`-style budget, so the server bounds the *input*
-/// instead: total atoms across the program, and atoms in any single rule
-/// body (the quantity the search is exponential in).
+/// Input-size caps for the `optimize` and `minimize` verbs.  Their
+/// CQ-containment oracle is a homomorphism search (exponential in rule size
+/// in the worst case) and has no `max_pairs`-style budget, so the server
+/// bounds the *input* instead: total atoms across the input, and atoms in
+/// any single rule body or disjunct (the quantity the search is exponential
+/// in).
 pub const MAX_OPTIMIZE_ATOMS: usize = 4_096;
 /// See [`MAX_OPTIMIZE_ATOMS`].
 pub const MAX_OPTIMIZE_BODY_ATOMS: usize = 64;
@@ -54,7 +57,6 @@ pub const MAX_BOUNDED_DEPTH: usize = 32;
 
 fn decision_options(options: RequestOptions) -> DecisionOptions {
     DecisionOptions {
-        allow_word_path: options.allow_word_path,
         use_cache: options.use_cache,
         max_pairs: Some(options.max_pairs.unwrap_or(DEFAULT_MAX_PAIRS)),
         max_unfold: DEFAULT_MAX_UNFOLD,
@@ -132,6 +134,60 @@ fn counterexample_json(cex: &Counterexample, provenance: bool) -> Value {
     obj(fields)
 }
 
+/// The result payload of the `containment` and `trace` verbs: the verdict,
+/// the decision's `stats`, and the counterexample when it is refuted.  A
+/// `trace` passes its recording, which adds the `level` after the verdict
+/// and the `events`, `truncated`, and `dropped` fields after the stats.
+fn decision_json(
+    result: &ContainmentResult,
+    provenance: bool,
+    trace: Option<&RecordingSink>,
+) -> Value {
+    let mut fields = vec![("contained", Value::Bool(result.contained))];
+    if let Some(sink) = trace {
+        fields.push(("level", Value::str(sink.level().name())));
+    }
+    fields.push(("stats", stats_json(&result.stats)));
+    if let Some(sink) = trace {
+        let events = sink.events.iter().map(crate::metrics::event_json).collect();
+        fields.push(("events", Value::Arr(events)));
+        fields.push(("truncated", Value::Bool(sink.truncated())));
+        fields.push(("dropped", Value::num(sink.dropped as f64)));
+    }
+    if let Some(cex) = &result.counterexample {
+        fields.push(("counterexample", counterexample_json(cex, provenance)));
+    }
+    obj(fields)
+}
+
+/// Refuse an `optimize` or `minimize` input over the caps of
+/// [`MAX_OPTIMIZE_ATOMS`] and [`MAX_OPTIMIZE_BODY_ATOMS`].  `atoms` is the
+/// total atom count; `bodies` names each rule or disjunct with its body
+/// size.
+fn check_input_size<T: std::fmt::Display>(
+    verb: &str,
+    unit: &str,
+    atoms: usize,
+    mut bodies: impl Iterator<Item = (T, usize)>,
+) -> Result<(), WireError> {
+    if atoms > MAX_OPTIMIZE_ATOMS {
+        return Err(WireError::new(
+            "resource_limit",
+            format!("{verb} input has {atoms} atoms; at most {MAX_OPTIMIZE_ATOMS} are allowed"),
+        ));
+    }
+    if let Some((oversized, size)) = bodies.find(|&(_, size)| size > MAX_OPTIMIZE_BODY_ATOMS) {
+        return Err(WireError::new(
+            "resource_limit",
+            format!(
+                "{verb} input {unit} `{oversized}` has {size} body atoms; \
+                 at most {MAX_OPTIMIZE_BODY_ATOMS} are allowed"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// The CQ-containment oracle behind the `minimize` verb: every call counts,
 /// and with `use_cache` the verdict goes through the shared
 /// [`DecisionCache`] (recording hits), mirroring the optimisation passes'
@@ -187,17 +243,7 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
                 decision_options(*options),
             )
             .map_err(|e| WireError::new(e.code(), e.to_string()))?;
-            let mut fields = vec![
-                ("contained", Value::Bool(result.contained)),
-                ("stats", stats_json(&result.stats)),
-            ];
-            if let Some(cex) = &result.counterexample {
-                fields.push((
-                    "counterexample",
-                    counterexample_json(cex, options.provenance),
-                ));
-            }
-            Ok(obj(fields))
+            Ok(decision_json(&result, options.provenance, None))
         }
         Command::Trace {
             program,
@@ -209,38 +255,17 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
         } => {
             let program = parse_program_field("program", program)?;
             let ucq = parse_query_field("query", query)?;
-            let trace = TraceOptions {
-                level: *level,
-                max_events: *max_events,
-            };
-            let traced = datalog_contained_in_ucq_traced(
+            let mut sink = RecordingSink::new(*level, *max_events);
+            let result = datalog_contained_in_ucq_in(
+                DecisionCache::global(),
                 &program,
                 Pred::new(goal),
                 &ucq,
                 decision_options(*options),
-                trace,
+                &mut sink,
             )
             .map_err(|e| WireError::new(e.code(), e.to_string()))?;
-            let events: Vec<Value> = traced
-                .events
-                .iter()
-                .map(crate::metrics::event_json)
-                .collect();
-            let mut fields = vec![
-                ("contained", Value::Bool(traced.result.contained)),
-                ("level", Value::str(level.name())),
-                ("stats", stats_json(&traced.result.stats)),
-                ("events", Value::Arr(events)),
-                ("truncated", Value::Bool(traced.truncated)),
-                ("dropped", Value::num(traced.dropped as f64)),
-            ];
-            if let Some(cex) = &traced.result.counterexample {
-                fields.push((
-                    "counterexample",
-                    counterexample_json(cex, options.provenance),
-                ));
-            }
-            Ok(obj(fields))
+            Ok(decision_json(&result, options.provenance, Some(&sink)))
         }
         Command::Equivalence {
             program,
@@ -279,17 +304,15 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
                 EquivalenceVerdict::Equivalent => {}
             }
             if let Some(containment) = &result.containment {
-                fields.push(("stats", stats_json(&containment.result.stats)));
+                let unfold = UnfoldStats::of(&result.unfolding);
+                fields.push(("stats", stats_json(&containment.stats)));
                 fields.push((
                     "unfold",
                     obj(vec![
-                        (
-                            "disjuncts",
-                            Value::num(containment.unfold_stats.disjuncts as f64),
-                        ),
+                        ("disjuncts", Value::num(unfold.disjuncts as f64)),
                         (
                             "max_disjunct_size",
-                            Value::num(containment.unfold_stats.max_disjunct_size as f64),
+                            Value::num(unfold.max_disjunct_size as f64),
                         ),
                     ]),
                 ));
@@ -345,29 +368,12 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
                 ));
             }
             let program = parse_program_field("program", program)?;
-            if program.atom_count() > MAX_OPTIMIZE_ATOMS {
-                return Err(WireError::new(
-                    "resource_limit",
-                    format!(
-                        "optimize input has {} atoms; at most {MAX_OPTIMIZE_ATOMS} are allowed",
-                        program.atom_count()
-                    ),
-                ));
-            }
-            if let Some(oversized) = program
-                .rules()
-                .iter()
-                .find(|rule| rule.body.len() > MAX_OPTIMIZE_BODY_ATOMS)
-            {
-                return Err(WireError::new(
-                    "resource_limit",
-                    format!(
-                        "optimize input rule `{oversized}` has {} body atoms; \
-                         at most {MAX_OPTIMIZE_BODY_ATOMS} are allowed",
-                        oversized.body.len()
-                    ),
-                ));
-            }
+            check_input_size(
+                "optimize",
+                "rule",
+                program.atom_count(),
+                program.rules().iter().map(|rule| (rule, rule.body.len())),
+            )?;
             let options = OptimizeOptions {
                 minimize_bodies: *minimize_bodies,
                 remove_subsumed: *remove_subsumed,
@@ -397,33 +403,13 @@ pub fn execute(command: &Command) -> Result<Value, WireError> {
         }
         Command::Minimize { query, options } => {
             let ucq = parse_query_field("query", query)?;
-            // Like `optimize`, the containment oracle is a homomorphism
-            // search bounded by input-size caps, not `max_pairs` — reuse
-            // the optimize caps so one request cannot pin a worker.
             let atoms: usize = ucq.disjuncts.iter().map(|d| d.body.len()).sum();
-            if atoms > MAX_OPTIMIZE_ATOMS {
-                return Err(WireError::new(
-                    "resource_limit",
-                    format!(
-                        "minimize input has {atoms} atoms; at most {MAX_OPTIMIZE_ATOMS} \
-                         are allowed"
-                    ),
-                ));
-            }
-            if let Some(oversized) = ucq
-                .disjuncts
-                .iter()
-                .find(|d| d.body.len() > MAX_OPTIMIZE_BODY_ATOMS)
-            {
-                return Err(WireError::new(
-                    "resource_limit",
-                    format!(
-                        "minimize input disjunct `{oversized}` has {} body atoms; \
-                         at most {MAX_OPTIMIZE_BODY_ATOMS} are allowed",
-                        oversized.body.len()
-                    ),
-                ));
-            }
+            check_input_size(
+                "minimize",
+                "disjunct",
+                atoms,
+                ucq.disjuncts.iter().map(|d| (d, d.body.len())),
+            )?;
             let mut oracle = MinimizeOracle::new(options.use_cache);
             let minimized = minimize_ucq_with(&ucq, &mut |a, b| oracle.contained(a, b));
             let kept: Vec<String> = minimized.disjuncts.iter().map(|q| q.to_string()).collect();
@@ -525,6 +511,9 @@ mod tests {
     }
 
     const TC: &str = "p(X, Y) :- e(X, Z), p(Z, Y).\\np(X, Y) :- e(X, Y).";
+    /// Nonlinear transitive closure: not chain-shaped, so its decisions
+    /// always take the tree path.
+    const NONLINEAR_TC: &str = "p(X, Y) :- p(X, Z), p(Z, Y).\\np(X, Y) :- e(X, Y).";
 
     #[test]
     fn containment_verb_agrees_with_the_library() {
@@ -543,11 +532,11 @@ mod tests {
 
     #[test]
     fn trace_verb_returns_structured_events() {
-        // Force the tree path so the trace has per-pop events; the
-        // counterexample then adds a goal-directed evaluation (iteration
-        // events) plus its `witness_check` verdict.
+        // A nonlinear program takes the tree path, so the trace has per-pop
+        // events; the counterexample then adds a goal-directed evaluation
+        // (iteration events) plus its `witness_check` verdict.
         let result = run(&format!(
-            r#"{{"op":"trace","program":"{TC}","goal":"p","query":"q(X, Y) :- e(X, Y).","level":"trace","options":{{"no_cache":true,"no_word_path":true}}}}"#
+            r#"{{"op":"trace","program":"{NONLINEAR_TC}","goal":"p","query":"q(X, Y) :- e(X, Y).","level":"trace","options":{{"no_cache":true}}}}"#
         ))
         .unwrap();
         assert_eq!(result.get("contained").unwrap().as_bool(), Some(false));
@@ -864,7 +853,7 @@ mod tests {
         assert_eq!(recursive.code, "recursive_candidate");
 
         let limit = run(&format!(
-            r#"{{"op":"containment","program":"{TC}","goal":"p","query":"q(X, Y) :- e(X, Y).","options":{{"max_pairs":1,"no_word_path":true}}}}"#
+            r#"{{"op":"containment","program":"{NONLINEAR_TC}","goal":"p","query":"q(X, Y) :- e(X, Y).","options":{{"max_pairs":1}}}}"#
         ))
         .unwrap_err();
         assert_eq!(limit.code, "resource_limit");

@@ -78,8 +78,6 @@ impl WireError {
 pub struct RequestOptions {
     /// Consult the shared decision cache (`"no_cache": true` disables).
     pub use_cache: bool,
-    /// Allow the word-automata fast path (`"no_word_path": true` disables).
-    pub allow_word_path: bool,
     /// Abort tree containment after this many product pairs.
     pub max_pairs: Option<usize>,
     /// Per-request deadline override, in milliseconds.
@@ -95,7 +93,6 @@ impl Default for RequestOptions {
     fn default() -> Self {
         RequestOptions {
             use_cache: true,
-            allow_word_path: true,
             max_pairs: None,
             timeout_ms: None,
             provenance: false,
@@ -182,7 +179,7 @@ pub enum Command {
     },
     /// Run a containment decision at an explicit metrics level and return
     /// the structured events it recorded (the observability verb; see
-    /// [`nonrec_equivalence::containment::datalog_contained_in_ucq_traced`]).
+    /// [`nonrec_equivalence::containment::datalog_contained_in_ucq_in`]).
     Trace {
         /// Datalog program text.
         program: String,
@@ -385,7 +382,6 @@ fn parse_options(value: &Value) -> Result<RequestOptions, WireError> {
     };
     Ok(RequestOptions {
         use_cache: !optional_bool(options, "no_cache")?,
-        allow_word_path: !optional_bool(options, "no_word_path")?,
         max_pairs: optional_u64(options, "max_pairs")?.map(|n| n as usize),
         timeout_ms: optional_u64(options, "timeout_ms")?,
         provenance: optional_bool(options, "provenance")?,
@@ -438,7 +434,8 @@ pub fn parse_request(value: &Value, allow_batch: bool) -> Result<Request, WireEr
             options: parse_options(value)?,
         },
         "trace" => {
-            let max_events = optional_u64(value, "max_events")?.unwrap_or(512) as usize;
+            let max_events = optional_u64(value, "max_events")?
+                .map_or(metrics::DEFAULT_MAX_EVENTS, |n| n as usize);
             if max_events > MAX_TRACE_EVENTS {
                 return Err(WireError::bad_request(format!(
                     "max_events {max_events} exceeds the limit of {MAX_TRACE_EVENTS}"
@@ -719,13 +716,12 @@ mod tests {
     fn options_invert_the_wire_flags() {
         let v = parse(
             r#"{"op":"equivalence","program":"p.","goal":"p","candidate":"p.",
-                "options":{"no_cache":true,"no_word_path":true,"max_pairs":100,"timeout_ms":50}}"#,
+                "options":{"no_cache":true,"max_pairs":100,"timeout_ms":50}}"#,
         )
         .unwrap();
         match parse_request(&v, true).unwrap().command {
             Command::Equivalence { options, .. } => {
                 assert!(!options.use_cache);
-                assert!(!options.allow_word_path);
                 assert_eq!(options.max_pairs, Some(100));
                 assert_eq!(options.timeout_ms, Some(50));
             }
@@ -831,10 +827,10 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
-        // No key selects an engine: `schedule` and `options.strategy` are
-        // ignored like any unknown key.
+        // No key selects an engine: `schedule`, `options.strategy`, and
+        // `options.no_word_path` are ignored like any unknown key.
         let v = parse(
-            r#"{"op":"trace","program":"p.","goal":"p","query":"q.","schedule":"lifo","options":{"strategy":"voodoo"}}"#,
+            r#"{"op":"trace","program":"p.","goal":"p","query":"q.","schedule":"lifo","options":{"strategy":"voodoo","no_word_path":true}}"#,
         )
         .unwrap();
         assert_eq!(parse_request(&v, true).unwrap().command, defaults);

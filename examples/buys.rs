@@ -8,8 +8,9 @@
 
 use datalog::atom::Pred;
 use datalog::parser::parse_program;
-use nonrec_equivalence::bounded::find_bound;
-use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive, EquivalenceVerdict};
+use nonrec_equivalence::bounded::find_bound_with;
+use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive_with, EquivalenceVerdict};
+use nonrec_equivalence::DecisionOptions;
 
 fn main() {
     let goal = Pred::new("buys");
@@ -37,17 +38,20 @@ fn main() {
     .unwrap();
 
     println!("=== Π₁ (trendy) vs. its nonrecursive candidate ===");
-    let r1 = equivalent_to_nonrecursive(&pi1, goal, &pi1_nonrec).unwrap();
+    let r1 = equivalent_to_nonrecursive_with(&pi1, goal, &pi1_nonrec, DecisionOptions::default())
+        .unwrap();
     println!("equivalent: {}", r1.verdict.is_equivalent());
 
     // Π₁ is in fact bounded: its depth-2 unfolding is already equivalent.
-    if let Some((depth, ucq)) = find_bound(&pi1, goal, 4).unwrap() {
+    if let Some((depth, ucq)) = find_bound_with(&pi1, goal, 4, DecisionOptions::default()).unwrap()
+    {
         println!("Π₁ is equivalent to its depth-{depth} unfolding:");
         print!("{ucq}");
     }
 
     println!("\n=== Π₂ (knows) vs. its nonrecursive candidate ===");
-    let r2 = equivalent_to_nonrecursive(&pi2, goal, &pi2_nonrec).unwrap();
+    let r2 = equivalent_to_nonrecursive_with(&pi2, goal, &pi2_nonrec, DecisionOptions::default())
+        .unwrap();
     match &r2.verdict {
         EquivalenceVerdict::RecursiveExceeds(cex) => {
             println!("not equivalent — Π₂ derives strictly more.");
@@ -72,6 +76,8 @@ fn main() {
     }
     println!(
         "\nΠ₂ is inherently recursive: no bound below 4 exists: {:?}",
-        find_bound(&pi2, goal, 4).unwrap().map(|(k, _)| k)
+        find_bound_with(&pi2, goal, 4, DecisionOptions::default())
+            .unwrap()
+            .map(|(k, _)| k)
     );
 }

@@ -9,7 +9,8 @@ use datalog::atom::Pred;
 use datalog::eval::evaluate;
 use datalog::generate::chain_database;
 use datalog::parser::parse_program;
-use nonrec_equivalence::optimize::{eliminate_recursion, optimize, OptimizeOptions};
+use nonrec_equivalence::optimize::{eliminate_recursion_with, optimize, OptimizeOptions};
+use nonrec_equivalence::DecisionOptions;
 
 fn main() {
     // A deliberately messy program: a redundant subgoal, a subsumed rule, an
@@ -57,7 +58,9 @@ fn main() {
          buys(X, Y) :- trendy(X), buys(Z, Y).",
     )
     .unwrap();
-    match eliminate_recursion(&bounded, Pred::new("buys"), 4).unwrap() {
+    match eliminate_recursion_with(&bounded, Pred::new("buys"), 4, DecisionOptions::default())
+        .unwrap()
+    {
         Some(nonrecursive) => {
             println!("\n== Example 1.1: equivalent nonrecursive form found ==\n{nonrecursive}")
         }
@@ -69,7 +72,9 @@ fn main() {
          buys(X, Y) :- knows(X, Z), buys(Z, Y).",
     )
     .unwrap();
-    match eliminate_recursion(&unbounded, Pred::new("buys"), 4).unwrap() {
+    match eliminate_recursion_with(&unbounded, Pred::new("buys"), 4, DecisionOptions::default())
+        .unwrap()
+    {
         Some(_) => println!("Π₂ unexpectedly collapsed"),
         None => println!(
             "Π₂ (buys via knows-chains) admits no bounded unfolding up to depth 4 — \

@@ -7,7 +7,8 @@
 use datalog::atom::Pred;
 use datalog::eval::evaluate;
 use datalog::parser::{parse_database, parse_program};
-use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive, EquivalenceVerdict};
+use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive_with, EquivalenceVerdict};
+use nonrec_equivalence::DecisionOptions;
 
 fn main() {
     // The transitive-closure program: p = reachability over e.
@@ -42,8 +43,13 @@ fn main() {
     );
 
     // 2. Decide equivalence exactly (Theorem 6.5 machinery).
-    let result = equivalent_to_nonrecursive(&recursive, goal, &nonrecursive)
-        .expect("decision procedure succeeds");
+    let result = equivalent_to_nonrecursive_with(
+        &recursive,
+        goal,
+        &nonrecursive,
+        DecisionOptions::default(),
+    )
+    .expect("decision procedure succeeds");
     match &result.verdict {
         EquivalenceVerdict::Equivalent => println!("The programs are equivalent."),
         EquivalenceVerdict::RecursiveExceeds(cex) => {
@@ -62,11 +68,11 @@ fn main() {
     if let Some(containment) = &result.containment {
         println!(
             "Decision path: {:?}; proof-tree automaton: {} states / {} transitions; explored {} product states in {} µs.",
-            containment.result.stats.path,
-            containment.result.stats.ptrees.states,
-            containment.result.stats.ptrees.transitions,
-            containment.result.stats.explored,
-            containment.result.stats.micros
+            containment.stats.path,
+            containment.stats.ptrees.states,
+            containment.stats.ptrees.transitions,
+            containment.stats.explored,
+            containment.stats.micros
         );
     }
 }

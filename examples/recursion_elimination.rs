@@ -7,7 +7,8 @@
 
 use datalog::atom::Pred;
 use datalog::parser::parse_program;
-use nonrec_equivalence::bounded::find_bound;
+use nonrec_equivalence::bounded::find_bound_with;
+use nonrec_equivalence::DecisionOptions;
 
 fn main() {
     let cases = [
@@ -42,7 +43,14 @@ fn main() {
         let program = parse_program(text).unwrap();
         println!("=== {name} ===");
         println!("{program}");
-        match find_bound(&program, Pred::new(goal), MAX_DEPTH).unwrap() {
+        match find_bound_with(
+            &program,
+            Pred::new(goal),
+            MAX_DEPTH,
+            DecisionOptions::default(),
+        )
+        .unwrap()
+        {
             Some((depth, ucq)) => {
                 println!("equivalent to its depth-{depth} unfolding; nonrecursive form:");
                 print!("{ucq}");

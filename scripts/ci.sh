@@ -36,7 +36,8 @@
 #     examples     run all examples/ binaries (a runtime panic must not ship)
 #     bench-gates  run the gating benches (NONREC_BENCH_FAST=1), write fresh
 #                  snapshots under target/ci/, diff them against the
-#                  committed BENCH_*.json with scripts/bench_diff
+#                  committed BENCH_*.json with scripts/bench_diff (after the
+#                  bench_diff and net_lines self-tests)
 #
 # Env:
 #     NONREC_CI_REFRESH=1   bench-gates copies the fresh snapshots over the
@@ -125,8 +126,10 @@ stage_bench_gates() {
     mkdir -p target/ci
     # The diff gate guards every snapshot below; prove the gate itself
     # still catches drift, dropped rows, and zero baselines before
-    # trusting its verdicts.
+    # trusting its verdicts.  The line counter that CHANGES.md figures come
+    # from self-tests beside it.
     python3 scripts/bench_diff --self-test || return 1
+    python3 scripts/net_lines --self-test || return 1
     # The evaluation target is the join-probe regression gate, containment
     # the pair-work gate, serve the throughput/backpressure/cache/skew gate;
     # each panics on an in-bench invariant violation and snapshots its

@@ -12,7 +12,6 @@
 //!
 //! OPTIONS:
 //!     --stats           print decision instrumentation and cache statistics
-//!     --no-word-path    disable the word-automata fast path
 //!     --no-cache        bypass the shared decision cache
 //!     --max-pairs <N>   abort tree containment after N product pairs
 //!     --trace-level <L> re-run the program ⊆ candidate direction with a
@@ -27,15 +26,15 @@
 
 use std::process::ExitCode;
 
+use cq::Ucq;
 use datalog::atom::Pred;
 use datalog::parser::parse_program;
 use datalog::program::Program;
-use metrics::{FieldValue, MetricsLevel};
+use metrics::{FieldValue, MetricsLevel, RecordingSink, DEFAULT_MAX_EVENTS};
 use nonrec_equivalence::cache::DecisionCache;
-use nonrec_equivalence::containment::{
-    datalog_contained_in_ucq_traced, DecisionOptions, TraceOptions,
-};
+use nonrec_equivalence::containment::{datalog_contained_in_ucq_in, DecisionOptions};
 use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive_with, EquivalenceVerdict};
+use nonrec_equivalence::unfold::UnfoldStats;
 
 struct Args {
     program: String,
@@ -48,7 +47,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: nonrec --program <FILE> --goal <PRED> --candidate <FILE> \
-     [--stats] [--no-word-path] [--no-cache] [--max-pairs <N>] \
+     [--stats] [--no-cache] [--max-pairs <N>] \
      [--trace-level <off|counters|debug|trace>]"
 }
 
@@ -79,7 +78,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, ArgsError>
             "--goal" => goal = Some(argv.next().ok_or("--goal needs a predicate name")?),
             "--candidate" => candidate = Some(argv.next().ok_or("--candidate needs a file")?),
             "--stats" => stats = true,
-            "--no-word-path" => options.allow_word_path = false,
             "--no-cache" => options.use_cache = false,
             "--max-pairs" => {
                 let n = argv.next().ok_or("--max-pairs needs a number")?;
@@ -115,34 +113,31 @@ fn load_program(path: &str) -> Result<Program, String> {
     parse_program(&text).map_err(|e| format!("parse error in {path}: {e}"))
 }
 
-/// Re-runs the program ⊆ candidate direction with a recording sink at the
-/// requested level and prints the events one per line — the CLI face of
-/// the server's `trace` verb.
-fn print_trace(
-    program: &Program,
-    goal: Pred,
-    candidate: &Program,
-    args: &Args,
-) -> Result<(), String> {
-    let ucq = nonrec_equivalence::unfold::unfold_nonrecursive(candidate, goal, usize::MAX)
-        .map_err(|e| format!("unfold failed: {e}"))?;
-    let trace = TraceOptions {
-        level: args.trace_level,
-        ..TraceOptions::default()
-    };
-    let traced = datalog_contained_in_ucq_traced(program, goal, &ucq, args.options, trace)
-        .map_err(|e| format!("trace failed: {e}"))?;
+/// Re-runs the program ⊆ candidate direction on the candidate's unfolding
+/// with a recording sink at the requested level and prints the events one
+/// per line — the CLI face of the server's `trace` verb.
+fn print_trace(program: &Program, goal: Pred, unfolding: &Ucq, args: &Args) -> Result<(), String> {
+    let mut sink = RecordingSink::new(args.trace_level, DEFAULT_MAX_EVENTS);
+    datalog_contained_in_ucq_in(
+        DecisionCache::global(),
+        program,
+        goal,
+        unfolding,
+        args.options,
+        &mut sink,
+    )
+    .map_err(|e| format!("trace failed: {e}"))?;
     println!(
         "\n[trace] program \u{2286} candidate at level {}: {} events{}",
         args.trace_level.name(),
-        traced.events.len(),
-        if traced.truncated {
-            format!(" ({} dropped over the budget)", traced.dropped)
+        sink.events.len(),
+        if sink.truncated() {
+            format!(" ({} dropped over the budget)", sink.dropped)
         } else {
             String::new()
         }
     );
-    for event in &traced.events {
+    for event in &sink.events {
         print!("[trace] {}", event.kind);
         for (name, value) in &event.fields {
             match value {
@@ -197,26 +192,18 @@ fn run(args: &Args) -> Result<bool, String> {
                 args.program
             );
             println!("Violating disjunct of the candidate's unfolding (index {index}):");
-            // Re-unfold to show the offending disjunct; the unfolding is
-            // deterministic, so the index lines up.
-            if let Ok(unfolding) =
-                nonrec_equivalence::unfold::unfold_nonrecursive(&candidate, goal, usize::MAX)
-            {
-                if let Some(disjunct) = unfolding.disjuncts.get(*index) {
-                    println!("  {disjunct}");
-                }
-            }
+            println!("  {}", result.unfolding.disjuncts[*index]);
             false
         }
     };
 
     if args.trace_level > MetricsLevel::Off {
-        print_trace(&program, goal, &candidate, args)?;
+        print_trace(&program, goal, &result.unfolding, args)?;
     }
 
     if args.stats {
         if let Some(containment) = &result.containment {
-            let s = &containment.result.stats;
+            let s = &containment.stats;
             println!(
                 "\n[stats] decision path {:?}: ptrees {} states / {} transitions, \
                  queries {} states / {} transitions, explored {} pairs in {} µs",
@@ -233,9 +220,10 @@ fn run(args: &Args) -> Result<bool, String> {
                  frontier high-water {}",
                 s.pairs_dominated, s.pops_skipped_dead, s.max_frontier
             );
+            let unfold = UnfoldStats::of(&result.unfolding);
             println!(
                 "[stats] unfolding: {} disjuncts, max disjunct size {}",
-                containment.unfold_stats.disjuncts, containment.unfold_stats.max_disjunct_size
+                unfold.disjuncts, unfold.max_disjunct_size
             );
         }
         let cache = DecisionCache::global().stats();

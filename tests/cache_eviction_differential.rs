@@ -22,6 +22,7 @@ use cq::generate::{random_cq, RandomCqConfig};
 use cq::Ucq;
 use datalog::atom::Pred;
 use datalog::generate::{random_program, RandomProgramConfig};
+use metrics::NoMetrics;
 use nonrec_equivalence::cache::{CacheLimits, DecisionCache, ProgramKey};
 use nonrec_equivalence::containment::{
     datalog_contained_in_ucq_in, ContainmentResult, DecisionError, DecisionOptions,
@@ -126,6 +127,7 @@ fn tiny_bounded_cache_answers_like_the_unbounded_and_uncached_engines() {
             goal,
             &ucq,
             options(false),
+            &mut NoMetrics,
         ));
         let via_unbounded = outcome(&datalog_contained_in_ucq_in(
             &unbounded,
@@ -133,6 +135,7 @@ fn tiny_bounded_cache_answers_like_the_unbounded_and_uncached_engines() {
             goal,
             &ucq,
             options(true),
+            &mut NoMetrics,
         ));
         let via_tiny = outcome(&datalog_contained_in_ucq_in(
             &tiny,
@@ -140,6 +143,7 @@ fn tiny_bounded_cache_answers_like_the_unbounded_and_uncached_engines() {
             goal,
             &ucq,
             options(true),
+            &mut NoMetrics,
         ));
         // Under churn a repeat may hit or recompute an evicted entry —
         // either way the answer must not move.
@@ -149,6 +153,7 @@ fn tiny_bounded_cache_answers_like_the_unbounded_and_uncached_engines() {
             goal,
             &ucq,
             options(true),
+            &mut NoMetrics,
         ));
 
         assert_eq!(reference, via_unbounded, "seed {seed}: unbounded diverged");

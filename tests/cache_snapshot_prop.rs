@@ -17,6 +17,7 @@ use cq::Ucq;
 use datalog::atom::Pred;
 use datalog::generate::{random_program, RandomProgramConfig};
 use datalog::program::Program;
+use metrics::NoMetrics;
 use nonrec_equivalence::cache::DecisionCache;
 use nonrec_equivalence::containment::{
     datalog_contained_in_ucq_in, ContainmentResult, DecisionOptions,
@@ -76,7 +77,7 @@ fn decide_all(cache: &DecisionCache, instances: &[(Program, Ucq)]) -> Vec<Option
     instances
         .iter()
         .map(|(program, ucq)| {
-            datalog_contained_in_ucq_in(cache, program, goal, ucq, options())
+            datalog_contained_in_ucq_in(cache, program, goal, ucq, options(), &mut NoMetrics)
                 .ok()
                 .map(render)
         })

@@ -2,7 +2,7 @@
 //! reference oracle.
 //!
 //! The `DecisionCache` (PR 3) makes memoised decisions the default across
-//! `datalog_contained_in_ucq_with`, `bounded::find_bound`, `equivalence`,
+//! `datalog_contained_in_ucq_with`, `bounded::find_bound_with`, `equivalence`,
 //! and the `optimize` passes.  This suite pins the cached engine to the
 //! uncached path the same way `tests/strategy_differential.rs` pins the
 //! indexed evaluation engine to the naive one:
@@ -28,7 +28,7 @@ use nonrec_equivalence::containment::{
     datalog_contained_in_ucq_with, ContainmentResult, DecisionOptions,
 };
 use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive_with, EquivalenceVerdict};
-use nonrec_equivalence::expansions_up_to_depth;
+use nonrec_equivalence::expansions_up_to_depth_limited;
 
 const PAIRS: u64 = 220;
 
@@ -155,7 +155,7 @@ fn cached_and_uncached_equivalence_verdicts_agree_on_generated_instances() {
         // Candidate: the program's own unfolding to a shallow depth, as a
         // nonrecursive program.  Bounded programs make it equivalent;
         // genuinely recursive ones make the recursive side exceed.
-        let unfolding = expansions_up_to_depth(&program, goal, 2);
+        let unfolding = expansions_up_to_depth_limited(&program, goal, 2, usize::MAX).unwrap();
         if unfolding.is_empty() || unfolding.len() > 24 {
             continue;
         }

@@ -17,9 +17,10 @@ use datalog::eval::{evaluate_goal_with, evaluate_goal_with_sink, EvalOptions, St
 use datalog::generate::{chain_database, transitive_closure};
 use datalog::parser::parse_program;
 use datalog::term::{Constant, Term};
-use metrics::{MetricsLevel, NoMetrics};
+use metrics::{MetricsLevel, NoMetrics, RecordingSink, DEFAULT_MAX_EVENTS};
+use nonrec_equivalence::cache::DecisionCache;
 use nonrec_equivalence::containment::{
-    datalog_contained_in_ucq_traced, datalog_contained_in_ucq_with, DecisionOptions, TraceOptions,
+    datalog_contained_in_ucq_in, datalog_contained_in_ucq_with, DecisionOptions,
 };
 
 struct CountingAllocator;
@@ -125,14 +126,21 @@ fn default_decision_allocates_like_an_off_level_trace() {
         use_cache: false,
         ..DecisionOptions::default()
     };
-    let trace = TraceOptions {
-        level: MetricsLevel::Off,
-        ..TraceOptions::default()
-    };
     let default = || datalog_contained_in_ucq_with(&program, goal, &ucq, options).unwrap();
-    let traced = || datalog_contained_in_ucq_traced(&program, goal, &ucq, options, trace).unwrap();
+    let traced = || {
+        let mut sink = RecordingSink::new(MetricsLevel::Off, DEFAULT_MAX_EVENTS);
+        datalog_contained_in_ucq_in(
+            DecisionCache::global(),
+            &program,
+            goal,
+            &ucq,
+            options,
+            &mut sink,
+        )
+        .unwrap()
+    };
     assert!(default().contained);
-    assert!(traced().result.contained);
+    assert!(traced().contained);
     let symbols = datalog::intern::interned_count();
     assert_eq!(allocations(default), allocations(traced));
     assert_eq!(

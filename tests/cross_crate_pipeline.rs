@@ -2,17 +2,18 @@
 //! classify → unfold → build automata → decide → extract counterexample →
 //! verify by evaluation.
 
-use automata::tree::containment::contained_in;
+use automata::tree::containment::{contained_in_with, ContainmentOptions};
 use automata::tree::emptiness::find_witness;
 use automata::tree::ops::union as tree_union;
 use datalog::atom::Pred;
 use datalog::eval::evaluate;
 use datalog::parser::parse_program;
 use nonrec_equivalence::cq_automaton::CqAutomaton;
-use nonrec_equivalence::equivalence::equivalent_to_nonrecursive;
+use nonrec_equivalence::equivalence::equivalent_to_nonrecursive_with;
 use nonrec_equivalence::proof_tree::{is_valid_proof_tree, ProofTreeAnalysis};
 use nonrec_equivalence::ptrees_automaton::PtreesAutomaton;
 use nonrec_equivalence::unfold::unfold_nonrecursive;
+use nonrec_equivalence::DecisionOptions;
 
 /// Drive the Theorem 5.11 reduction by hand — build A_ptrees and the A_θ
 /// union explicitly, run raw tree-automata containment, and check that the
@@ -47,7 +48,7 @@ fn manual_theorem_5_11_pipeline() {
     }
 
     // 3. Raw containment: T(A_ptrees) ⊄ ∪ T(A_θ).
-    let outcome = contained_in(&ptrees.automaton, &union);
+    let outcome = contained_in_with(&ptrees.automaton, &union, ContainmentOptions::default());
     let witness = outcome.witness().expect("TC exceeds bounded paths").clone();
     assert!(is_valid_proof_tree(&program, &witness));
     assert!(ptrees.automaton.accepts(&witness));
@@ -63,7 +64,9 @@ fn manual_theorem_5_11_pipeline() {
     assert!(!cq::eval::evaluate_ucq(&ucq, &frozen.database).contains(&frozen.head_tuple));
 
     // 5. The packaged equivalence API reaches the same verdict.
-    let packaged = equivalent_to_nonrecursive(&program, goal, &comparison).unwrap();
+    let packaged =
+        equivalent_to_nonrecursive_with(&program, goal, &comparison, DecisionOptions::default())
+            .unwrap();
     assert!(!packaged.verdict.is_equivalent());
 }
 
@@ -82,7 +85,9 @@ fn vacuous_recursion_is_eliminated() {
     .unwrap();
     let nonrec = parse_program("p(X, Y) :- e(X, Y).").unwrap();
     let goal = Pred::new("p");
-    let result = equivalent_to_nonrecursive(&program, goal, &nonrec).unwrap();
+    let result =
+        equivalent_to_nonrecursive_with(&program, goal, &nonrec, DecisionOptions::default())
+            .unwrap();
     assert!(result.verdict.is_equivalent());
 
     // A genuinely productive recursive rule, in contrast, breaks the
@@ -92,14 +97,19 @@ fn vacuous_recursion_is_eliminated() {
          p(X, Y) :- e(X, Y).",
     )
     .unwrap();
-    let broken = equivalent_to_nonrecursive(&productive, goal, &nonrec).unwrap();
+    let broken =
+        equivalent_to_nonrecursive_with(&productive, goal, &nonrec, DecisionOptions::default())
+            .unwrap();
     assert!(!broken.verdict.is_equivalent());
     // The sound direction still holds: the nonrecursive core is contained in
     // both programs.
     for candidate in [&program, &productive] {
         assert!(
-            nonrec_equivalence::equivalence::nonrecursive_contained_in_datalog(
-                &nonrec, goal, candidate
+            nonrec_equivalence::equivalence::nonrecursive_contained_in_datalog_with(
+                &nonrec,
+                goal,
+                candidate,
+                DecisionOptions::default(),
             )
             .unwrap()
             .is_ok()
@@ -116,8 +126,15 @@ fn statistics_compose_across_crates() {
     let program_stats = datalog::stats::ProgramStats::of(&program);
     let ptrees = PtreesAutomaton::build(&program, goal);
     let automaton_stats = ptrees.stats();
-    let ucq = nonrec_equivalence::expansions_up_to_depth(&program, goal, 2);
-    let decision = nonrec_equivalence::datalog_contained_in_ucq(&program, goal, &ucq).unwrap();
+    let ucq =
+        nonrec_equivalence::expansions_up_to_depth_limited(&program, goal, 2, usize::MAX).unwrap();
+    let decision = nonrec_equivalence::datalog_contained_in_ucq_with(
+        &program,
+        goal,
+        &ucq,
+        DecisionOptions::default(),
+    )
+    .unwrap();
 
     assert!(program_stats.recursive && program_stats.linear);
     assert_eq!(automaton_stats.states, 36);

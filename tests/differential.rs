@@ -12,8 +12,8 @@ use datalog::eval::{evaluate, evaluate_with, EvalOptions, Strategy};
 use datalog::generate::{
     random_database, random_program, RandomDatabaseConfig, RandomProgramConfig,
 };
-use nonrec_equivalence::containment::datalog_contained_in_ucq;
-use nonrec_equivalence::expansions_up_to_depth;
+use nonrec_equivalence::containment::{datalog_contained_in_ucq_with, DecisionOptions};
+use nonrec_equivalence::expansions_up_to_depth_limited;
 
 const CASES: u64 = 48;
 
@@ -47,11 +47,13 @@ fn containment_decision_agrees_with_evaluation_on_random_inputs() {
     for seed in 0..25u64 {
         let program = random_program(&program_config, seed);
         for depth in 1..=2usize {
-            let ucq = expansions_up_to_depth(&program, goal, depth);
+            let ucq = expansions_up_to_depth_limited(&program, goal, depth, usize::MAX).unwrap();
             if ucq.is_empty() || ucq.len() > 40 {
                 continue;
             }
-            let Ok(result) = datalog_contained_in_ucq(&program, goal, &ucq) else {
+            let Ok(result) =
+                datalog_contained_in_ucq_with(&program, goal, &ucq, DecisionOptions::default())
+            else {
                 continue;
             };
             if result.contained {
@@ -87,17 +89,20 @@ fn containment_decision_agrees_with_evaluation_on_random_inputs() {
 fn bounded_unfoldings_are_always_contained_in_the_program() {
     let tc = datalog::generate::transitive_closure("e", "e");
     for depth in 1..=4 {
-        let ucq = expansions_up_to_depth(&tc, Pred::new("p"), depth);
-        assert!(nonrec_equivalence::ucq_contained_in_datalog(
+        let ucq = expansions_up_to_depth_limited(&tc, Pred::new("p"), depth, usize::MAX).unwrap();
+        assert!(nonrec_equivalence::ucq_contained_in_datalog_with(
             &ucq,
             &tc,
-            Pred::new("p")
+            Pred::new("p"),
+            datalog::eval::EvalOptions::default().strategy,
         ));
     }
     // And the converse only at no finite depth: Π ⊄ unfolding.
     for depth in 1..=3 {
-        let ucq = expansions_up_to_depth(&tc, Pred::new("p"), depth);
-        let r = datalog_contained_in_ucq(&tc, Pred::new("p"), &ucq).unwrap();
+        let ucq = expansions_up_to_depth_limited(&tc, Pred::new("p"), depth, usize::MAX).unwrap();
+        let r =
+            datalog_contained_in_ucq_with(&tc, Pred::new("p"), &ucq, DecisionOptions::default())
+                .unwrap();
         assert!(!r.contained);
     }
 }
@@ -106,7 +111,6 @@ fn bounded_unfoldings_are_always_contained_in_the_program() {
 /// chain-shaped programs.
 #[test]
 fn word_and_tree_decision_paths_agree() {
-    use nonrec_equivalence::containment::{datalog_contained_in_ucq_with, DecisionOptions};
     let tc = datalog::generate::transitive_closure("e", "e");
     for k in 1..=3 {
         let ucq = bounded_path_ucq_binary("e", k);
@@ -223,7 +227,8 @@ fn bounded_expansions_match_bounded_evaluation() {
         for depth in 1usize..5 {
             let tc = datalog::generate::transitive_closure("e", "e");
             let db = datalog::generate::chain_database("e", len);
-            let ucq = expansions_up_to_depth(&tc, Pred::new("p"), depth);
+            let ucq =
+                expansions_up_to_depth_limited(&tc, Pred::new("p"), depth, usize::MAX).unwrap();
             let expansions = evaluate_ucq(&ucq, &db);
             let bounded = evaluate_with(
                 &tc,

@@ -6,9 +6,10 @@ use datalog::atom::Pred;
 use datalog::generate::{chain_database, dist_le_program, dist_program, word_program};
 use datalog::parser::parse_program;
 use nonrec_equivalence::equivalence::{
-    datalog_contained_in_nonrecursive, nonrecursive_contained_in_datalog,
+    datalog_contained_in_nonrecursive_with, nonrecursive_contained_in_datalog_with,
 };
 use nonrec_equivalence::unfold::unfold_with_stats;
+use nonrec_equivalence::DecisionOptions;
 
 /// The blowup table of Examples 6.1 vs. 6.6: `dist_n` has one disjunct of
 /// size Θ(2^n); `word_n` has 2^n disjuncts of size Θ(n).
@@ -40,10 +41,14 @@ fn dist_exact_contained_in_dist_at_most() {
     let at_most = dist_le_program(n);
     let goal = Pred::new(&format!("dist{n}"));
     // exact ⊆ at_most (both nonrecursive; the general procedure still applies).
-    let forward = datalog_contained_in_nonrecursive(&exact, goal, &at_most).unwrap();
+    let forward =
+        datalog_contained_in_nonrecursive_with(&exact, goal, &at_most, DecisionOptions::default())
+            .unwrap();
     assert!(forward.result.contained);
     // at_most ⊄ exact: the empty path (length 0) is only in at_most.
-    let backward = nonrecursive_contained_in_datalog(&at_most, goal, &exact).unwrap();
+    let backward =
+        nonrecursive_contained_in_datalog_with(&at_most, goal, &exact, DecisionOptions::default())
+            .unwrap();
     assert!(backward.is_err());
 }
 
@@ -64,10 +69,17 @@ fn bounded_reachability_is_contained_in_transitive_closure() {
     )
     .unwrap();
     let goal = Pred::new("p");
-    assert!(nonrecursive_contained_in_datalog(&bounded, goal, &tc)
-        .unwrap()
-        .is_ok());
-    let reverse = datalog_contained_in_nonrecursive(&tc, goal, &bounded).unwrap();
+    assert!(nonrecursive_contained_in_datalog_with(
+        &bounded,
+        goal,
+        &tc,
+        DecisionOptions::default()
+    )
+    .unwrap()
+    .is_ok());
+    let reverse =
+        datalog_contained_in_nonrecursive_with(&tc, goal, &bounded, DecisionOptions::default())
+            .unwrap();
     assert!(!reverse.result.contained);
     // The counterexample is a path of length 4.
     assert_eq!(

@@ -9,9 +9,10 @@ use datalog::generate::{
     chain_database, dist_le_program, dist_program, equal_program, word_program,
 };
 use datalog::parser::parse_program;
-use nonrec_equivalence::bounded::find_bound;
-use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive, EquivalenceVerdict};
+use nonrec_equivalence::bounded::find_bound_with;
+use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive_with, EquivalenceVerdict};
 use nonrec_equivalence::unfold::{unfold_nonrecursive, unfold_with_stats};
+use nonrec_equivalence::DecisionOptions;
 
 fn buys(recursive_edge: &str) -> datalog::Program {
     parse_program(&format!(
@@ -37,7 +38,8 @@ fn example_1_1_full_story() {
          buys(X, Y) :- trendy(X), likes(Z, Y).",
     )
     .unwrap();
-    let r1 = equivalent_to_nonrecursive(&pi1, goal, &pi1_nonrec).unwrap();
+    let r1 = equivalent_to_nonrecursive_with(&pi1, goal, &pi1_nonrec, DecisionOptions::default())
+        .unwrap();
     assert!(r1.verdict.is_equivalent());
 
     // Π₂ and its one-step unfolding are not equivalent, and the
@@ -48,7 +50,8 @@ fn example_1_1_full_story() {
          buys(X, Y) :- knows(X, Z), likes(Z, Y).",
     )
     .unwrap();
-    let r2 = equivalent_to_nonrecursive(&pi2, goal, &pi2_nonrec).unwrap();
+    let r2 = equivalent_to_nonrecursive_with(&pi2, goal, &pi2_nonrec, DecisionOptions::default())
+        .unwrap();
     match r2.verdict {
         EquivalenceVerdict::RecursiveExceeds(cex) => {
             let rec = evaluate(&pi2, &cex.database);
@@ -60,8 +63,15 @@ fn example_1_1_full_story() {
     }
 
     // Π₁ is bounded (depth 2); Π₂ is not bounded at any small depth.
-    assert_eq!(find_bound(&pi1, goal, 4).unwrap().map(|(k, _)| k), Some(2));
-    assert!(find_bound(&pi2, goal, 3).unwrap().is_none());
+    assert_eq!(
+        find_bound_with(&pi1, goal, 4, DecisionOptions::default())
+            .unwrap()
+            .map(|(k, _)| k),
+        Some(2)
+    );
+    assert!(find_bound_with(&pi2, goal, 3, DecisionOptions::default())
+        .unwrap()
+        .is_none());
 }
 
 /// Example 6.1: `dist_n` unfolds to a single conjunctive query of size 2^n —
@@ -173,7 +183,13 @@ fn transitive_closure_differs_from_every_dist_program() {
          dist1(X, Y) :- e(X, Y).",
     )
     .unwrap();
-    let result = equivalent_to_nonrecursive(&tc, Pred::new("dist1"), &dist_program(1)).unwrap();
+    let result = equivalent_to_nonrecursive_with(
+        &tc,
+        Pred::new("dist1"),
+        &dist_program(1),
+        DecisionOptions::default(),
+    )
+    .unwrap();
     assert!(!result.verdict.is_equivalent());
 }
 

@@ -24,7 +24,7 @@ use datalog::substitution::Substitution;
 use datalog::term::{Term, Var};
 use nonrec_equivalence::containment::{datalog_contained_in_ucq_with, DecisionOptions};
 use nonrec_equivalence::equivalence::equivalent_to_nonrecursive_with;
-use nonrec_equivalence::expansions_up_to_depth;
+use nonrec_equivalence::expansions_up_to_depth_limited;
 use server::json::{obj, Value};
 use server::protocol;
 use server::Client;
@@ -179,7 +179,7 @@ fn generated_instances_match_the_in_process_oracle_concurrently() {
     // are not — both verdicts occur across the sweep.
     for seed in 0..EQUIVALENCE_SEEDS {
         let program = random_program(&program_config(), seed);
-        let unfolding = expansions_up_to_depth(&program, goal, 2);
+        let unfolding = expansions_up_to_depth_limited(&program, goal, 2, usize::MAX).unwrap();
         if unfolding.is_empty() || unfolding.len() > 24 {
             continue;
         }
@@ -763,28 +763,23 @@ fn router_shards_requests_and_answers_like_the_oracle() {
 // ---- Observability: the `trace` and `metrics_text` verbs, and the
 // golden shape of `stats`.
 
-/// A chain transitive-closure program: the decision the ISSUE's
-/// observability acceptance criterion traces.
+/// A chain transitive-closure program: its decisions take the word path.
 const CHAIN_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).";
 
-/// Build a `trace` request over the chain program.  `no_word_path` forces
-/// the tree engine (a chain decision would otherwise take the word path,
-/// whose trace has no pops); `no_cache` keeps repeats on the uncached path
-/// so every run records a full trace.
-fn chain_trace_request(level: &str, max_events: Option<u64>) -> Value {
+/// Nonlinear transitive closure: not chain-shaped, so its decisions take
+/// the tree engine, whose trace has per-pop events.
+const NONLINEAR_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).";
+
+/// Build a `trace` request over the nonlinear program.  `no_cache` keeps
+/// repeats on the uncached path so every run records a full trace.
+fn tree_trace_request(level: &str, max_events: Option<u64>) -> Value {
     let mut fields = vec![
         ("op", Value::str("trace")),
-        ("program", Value::str(CHAIN_TC)),
+        ("program", Value::str(NONLINEAR_TC)),
         ("goal", Value::str("p")),
         ("query", Value::str("q(X, Y) :- e(X, Y).")),
         ("level", Value::str(level)),
-        (
-            "options",
-            obj(vec![
-                ("no_cache", Value::Bool(true)),
-                ("no_word_path", Value::Bool(true)),
-            ]),
-        ),
+        ("options", obj(vec![("no_cache", Value::Bool(true))])),
     ];
     if let Some(n) = max_events {
         fields.push(("max_events", Value::num(n as f64)));
@@ -827,9 +822,9 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
     let server = ServerProc::spawn(&[]);
     let mut client = server.client();
 
-    // A full-detail trace of a chain containment decision.
+    // A full-detail trace of a tree-path containment decision.
     let response = client
-        .request(&chain_trace_request("trace", None))
+        .request(&tree_trace_request("trace", None))
         .expect("trace request");
     assert_eq!(
         response.get("ok").and_then(Value::as_bool),
@@ -860,7 +855,7 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
 
     // The budget truncates and says so.
     let response = client
-        .request(&chain_trace_request("trace", Some(4)))
+        .request(&tree_trace_request("trace", Some(4)))
         .expect("budgeted trace");
     let result = response.get("result").unwrap();
     assert_eq!(result.get("truncated").and_then(Value::as_bool), Some(true));
@@ -872,7 +867,7 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
 
     // An unknown level is a bad_request, with the connection surviving.
     let response = client
-        .request(&chain_trace_request("verbose", None))
+        .request(&tree_trace_request("verbose", None))
         .expect("bad-level trace");
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
     assert_eq!(
@@ -885,7 +880,7 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
 
     // `trace` may not hide inside a batch.
     let response = client
-        .request(&protocol::batch_request(vec![chain_trace_request(
+        .request(&protocol::batch_request(vec![tree_trace_request(
             "counters", None,
         )]))
         .expect("batched trace");
@@ -907,7 +902,6 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
 /// evaluator.
 #[test]
 fn removed_engine_selectors_change_no_answer_and_no_cached_stats() {
-    const NONLINEAR_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).";
     const QUERY: &str = "q(X, Y) :- e(X, Y).\nq(X, Y) :- e(X, Z), e(Z, Y).";
     const CANDIDATE: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), e(Z, Y).";
 
@@ -988,6 +982,60 @@ fn removed_engine_selectors_change_no_answer_and_no_cached_stats() {
     );
 }
 
+/// `no_word_path` is gone from the wire: a chain containment sent with it
+/// answers exactly as one sent without it (wall-clock times aside), both
+/// on the word path.
+#[test]
+fn no_word_path_is_accepted_and_ignored() {
+    fn without_micros(value: &Value) -> Value {
+        match value {
+            Value::Obj(fields) => Value::Obj(
+                fields
+                    .iter()
+                    .filter(|(k, _)| k != "micros")
+                    .map(|(k, v)| (k.clone(), without_micros(v)))
+                    .collect(),
+            ),
+            Value::Arr(items) => Value::Arr(items.iter().map(without_micros).collect()),
+            other => other.clone(),
+        }
+    }
+    let request = |options: Vec<(&str, Value)>| {
+        let mut request = protocol::containment_request(CHAIN_TC, "p", "q(X, Y) :- e(X, Y).");
+        if let Value::Obj(fields) = &mut request {
+            fields.push(("options".into(), obj(options)));
+        }
+        request
+    };
+
+    let server = ServerProc::spawn(&[]);
+    let mut client = server.client();
+    let plain = client
+        .request(&request(vec![("no_cache", Value::Bool(true))]))
+        .expect("plain containment");
+    let flagged = client
+        .request(&request(vec![
+            ("no_cache", Value::Bool(true)),
+            ("no_word_path", Value::Bool(true)),
+        ]))
+        .expect("containment with no_word_path");
+    assert_eq!(
+        plain.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "got {}",
+        plain.render()
+    );
+    assert_eq!(
+        plain
+            .get("result")
+            .and_then(|r| r.get("stats"))
+            .and_then(|s| s.get("path"))
+            .and_then(Value::as_str),
+        Some("word")
+    );
+    assert_eq!(without_micros(&flagged), without_micros(&plain));
+}
+
 /// Pipelined traces interleaved with decisions: every response correlates
 /// by id echo, and the trace responses carry their events regardless of
 /// arrival order.
@@ -998,7 +1046,7 @@ fn pipelined_trace_responses_correlate_by_id() {
     let mut requests = Vec::new();
     for id in 0..12u64 {
         let mut request = if id % 2 == 0 {
-            chain_trace_request("debug", None)
+            tree_trace_request("debug", None)
         } else {
             protocol::containment_request(CHAIN_TC, "p", "q(X, Y) :- e(X, Y).")
         };
@@ -1268,7 +1316,6 @@ fn stats_payload_has_the_golden_shape() {
 /// containment runs exactly as the identical `containment` request does.
 #[test]
 fn stats_and_metrics_text_render_one_registry_that_counts_traces() {
-    const NONLINEAR_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).";
     const QUERY: &str = "q(X, Y) :- e(X, Y).";
 
     fn metrics(client: &mut Client) -> Value {

@@ -6,7 +6,9 @@
 //!
 //! * [`word`] — nondeterministic finite automata on words: boolean
 //!   operations (Prop. 4.1), emptiness (Prop. 4.2), and on-the-fly
-//!   containment (Prop. 4.3), used for *linear* Datalog programs.
+//!   containment (Prop. 4.3), the paper's track for *linear* Datalog
+//!   programs.  The decision procedures no longer use it (the tree search
+//!   explores far fewer pairs on them); it remains as a test oracle.
 //! * [`tree`] — nondeterministic top-down tree automata: boolean operations
 //!   (Prop. 4.4), linear-time emptiness with witness extraction
 //!   (Prop. 4.5), bottom-up determinization / complementation, and

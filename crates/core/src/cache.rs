@@ -99,7 +99,6 @@ pub struct DecisionKey {
     pub(crate) program: ProgramKey,
     pub(crate) goal: Pred,
     pub(crate) query: UcqKey,
-    pub(crate) allow_word_path: bool,
     pub(crate) antichain: bool,
     pub(crate) max_pairs: Option<usize>,
 }
@@ -116,7 +115,6 @@ impl DecisionKey {
             program: ProgramKey::of(program),
             goal,
             query: UcqKey::of(ucq),
-            allow_word_path: options.allow_word_path,
             antichain: options.antichain,
             max_pairs: options.max_pairs,
         }

@@ -3,11 +3,12 @@
 //!
 //! `Π(Q) ⊆ Θ` iff `T(A_ptrees(Q,Π)) ⊆ ∪ᵢ T(A_θᵢ(Q,Π))`.  The right-hand side
 //! is a single tree automaton (disjoint union of the per-disjunct automata),
-//! so the decision reduces to tree-automata containment.  For programs whose
-//! rules have at most one IDB subgoal — which includes the paper's
-//! linear-program examples — proof trees are paths, and the same automata
-//! reinterpreted over words let us use the cheaper word-automata containment
-//! (the EXPSPACE track of Theorem 5.12).
+//! so the decision reduces to tree-automata containment.  Every decision
+//! runs the min-subset tree search, linear programs included.  Theorem
+//! 5.12's EXPSPACE word-automata track for programs whose proof trees are
+//! paths explored 145–1503 product pairs on linear transitive closure
+//! where the tree search explores 3–6, so the word engine of the `automata`
+//! crate survives only as a test oracle (docs/ARCHITECTURE.md).
 //!
 //! When containment fails the witness proof tree is converted into a
 //! counterexample: the expansion it represents, and the canonical database
@@ -20,8 +21,6 @@ use automata::tree::containment::{
 };
 use automata::tree::ops::union as tree_union;
 use automata::tree::TreeAutomaton;
-use automata::word::containment::{contained_in as word_contained_in, WordContainment};
-use automata::word::Nfa;
 use cq::{ConjunctiveQuery, Ucq};
 use datalog::atom::Pred;
 use datalog::database::Database;
@@ -36,22 +35,10 @@ use crate::labels::ProofLabel;
 use crate::proof_tree::{ProofTree, ProofTreeAnalysis};
 use crate::ptrees_automaton::{AutomatonStats, PtreesAutomaton};
 
-/// Which automata model carried the decision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DecisionPath {
-    /// General programs: tree-automata containment (2EXPTIME track).
-    TreeAutomata,
-    /// Programs whose rules have at most one IDB subgoal: word-automata
-    /// containment (EXPSPACE track).
-    WordAutomata,
-}
-
 /// Instrumentation collected during a containment decision; the benches and
 /// EXPERIMENTS.md report these.
 #[derive(Clone, Debug)]
 pub struct ContainmentStats {
-    /// Which decision path was taken.
-    pub path: DecisionPath,
     /// Size of the proof-tree automaton.
     pub ptrees: AutomatonStats,
     /// Combined size of the per-disjunct query automata.
@@ -59,13 +46,12 @@ pub struct ContainmentStats {
     /// Number of product states explored by the containment check.
     pub explored: usize,
     /// Antichain entries retired because a later, smaller subset dominated
-    /// them (tree path only; the word path reports zero).
+    /// them.
     pub pairs_dominated: usize,
     /// Scheduled candidates discarded at pop time because a dominating pair
-    /// was admitted first (tree path only; the word path reports zero).
+    /// was admitted first.
     pub pops_skipped_dead: usize,
-    /// High-water mark of the scheduler frontier (tree path only; the word
-    /// path reports zero).
+    /// High-water mark of the scheduler frontier.
     pub max_frontier: usize,
     /// Wall-clock time of the whole decision, in microseconds.
     pub micros: u128,
@@ -100,11 +86,15 @@ pub struct ContainmentResult {
 /// [`datalog_contained_in_ucq_in`].
 #[derive(Clone, Copy, Debug)]
 pub struct DecisionOptions {
-    /// Use the word-automata fast path when the program allows it.
+    /// Read by nothing in this workspace: every decision runs the tree
+    /// search.  The field remains, defaulting to `false`, because the
+    /// repository benchmark's traced pass (`perfbench/src/trace.rs`) reads
+    /// it when it rebuilds a decision from its phases.
     pub allow_word_path: bool,
     /// Use the antichain optimisation in tree containment.
     pub antichain: bool,
-    /// Abort tree containment after this many product pairs (`None`: never).
+    /// Abort the containment search after this many product pairs
+    /// (`None`: never).
     pub max_pairs: Option<usize>,
     /// Consult (and populate) the [`DecisionCache`].
     /// On by default; switch off to run the uncached reference path the
@@ -124,7 +114,7 @@ pub struct DecisionOptions {
 impl Default for DecisionOptions {
     fn default() -> Self {
         DecisionOptions {
-            allow_word_path: true,
+            allow_word_path: false,
             antichain: true,
             max_pairs: None,
             use_cache: true,
@@ -288,16 +278,13 @@ fn finish_decision<S: MetricsSink>(
     options: DecisionOptions,
     start: Option<Instant>,
 ) {
-    let word_path = result.stats.path == DecisionPath::WordAutomata;
-    metrics::global::record_decision(cache_hit, word_path);
+    metrics::global::record_decision(cache_hit);
     if sink.level() < MetricsLevel::Counters {
         return;
     }
-    let path = if word_path { "word" } else { "tree" };
     let mut fields = vec![
         ("cache_hit", FieldValue::Flag(cache_hit)),
         ("contained", FieldValue::Flag(result.contained)),
-        ("path", FieldValue::Text(path.to_string())),
         ("explored", FieldValue::Num(result.stats.explored as u64)),
         ("max_unfold", FieldValue::Num(options.max_unfold as u64)),
     ];
@@ -335,38 +322,7 @@ fn decide_uncached<S: MetricsSink>(
         query_automaton = tree_union(&query_automaton, &a_theta.automaton);
     }
 
-    // Fast path: every rule has at most one IDB subgoal ⇒ proof trees are
-    // paths ⇒ word automata suffice.
-    let chain_shaped = is_chain_program(program);
-    if options.allow_word_path && chain_shaped {
-        let word_ptrees = tree_to_word(&ptrees.automaton);
-        let word_queries = tree_to_word(&query_automaton);
-        let outcome = word_contained_in(&word_ptrees, &word_queries);
-        let explored = outcome.explored();
-        let (contained, counterexample) = match outcome {
-            WordContainment::Contained { .. } => (true, None),
-            WordContainment::NotContained { witness, .. } => {
-                let tree = word_to_tree(&witness);
-                (false, tree.map(|t| build_counterexample(&ptrees, t)))
-            }
-        };
-        return Ok(ContainmentResult {
-            contained,
-            counterexample,
-            stats: ContainmentStats {
-                path: DecisionPath::WordAutomata,
-                ptrees: ptrees_stats,
-                queries: query_stats,
-                explored,
-                pairs_dominated: 0,
-                pops_skipped_dead: 0,
-                max_frontier: 0,
-                micros: start.elapsed().as_micros(),
-            },
-        });
-    }
-
-    // General path: tree-automata containment.
+    // Tree-automata containment (the min-subset search).
     let outcome = contained_in_with_sink(
         &ptrees.automaton,
         &query_automaton,
@@ -390,7 +346,6 @@ fn decide_uncached<S: MetricsSink>(
         contained,
         counterexample,
         stats: ContainmentStats {
-            path: DecisionPath::TreeAutomata,
             ptrees: ptrees_stats,
             queries: query_stats,
             explored,
@@ -403,10 +358,11 @@ fn decide_uncached<S: MetricsSink>(
 }
 
 /// Does every rule of the program have at most one IDB body atom?  For such
-/// programs every proof tree is a path and word automata suffice.  (This is
-/// a strengthening of the paper's "linear" condition, which only restricts
-/// *recursive* subgoals; programs that are linear but have several
-/// non-recursive IDB subgoals still go through the tree path.)
+/// programs every proof tree is a path, so word automata would suffice
+/// (Theorem 5.12's EXPSPACE track).  The decision does not read it: the
+/// repository benchmark and the tests use it to sort requests into linear
+/// and nonlinear.  (This strengthens the paper's "linear" condition, which
+/// only restricts *recursive* subgoals.)
 pub fn is_chain_program(program: &Program) -> bool {
     let idb = program.idb_predicates();
     program.rules().iter().all(|rule| {
@@ -416,38 +372,6 @@ pub fn is_chain_program(program: &Program) -> bool {
             .count()
             <= 1
     })
-}
-
-/// Reinterpret a tree automaton whose transitions all have arity ≤ 1 as a
-/// word automaton: a unary tree is the word of its labels read from the
-/// root to the leaf (inclusive).
-fn tree_to_word(automaton: &TreeAutomaton<ProofLabel>) -> Nfa<ProofLabel> {
-    let mut nfa = Nfa::new(automaton.state_count() + 1);
-    let accept = automaton.state_count();
-    nfa.add_accepting(accept);
-    for &s in automaton.initial() {
-        nfa.add_initial(s);
-    }
-    for (state, label, tuple) in automaton.transitions() {
-        match tuple.len() {
-            0 => nfa.add_transition(state, label.clone(), accept),
-            1 => nfa.add_transition(state, label.clone(), tuple[0]),
-            _ => unreachable!("tree_to_word called on an automaton with branching transitions"),
-        }
-    }
-    nfa
-}
-
-/// Convert a root-to-leaf label word back into the unary proof tree it
-/// denotes.  Returns `None` for the empty word (which cannot arise: every
-/// accepted word ends with a leaf label).
-fn word_to_tree(word: &[ProofLabel]) -> Option<ProofTree> {
-    let mut iter = word.iter().rev();
-    let mut tree = ProofTree::leaf(iter.next()?.clone());
-    for label in iter {
-        tree = ProofTree::node(label.clone(), vec![tree]);
-    }
-    Some(tree)
 }
 
 /// Materialise a counterexample from a witness proof tree.
@@ -491,7 +415,6 @@ mod tests {
         let ucq = bounded_path_ucq_binary("e", 3);
         let result = decide(&tc(), Pred::new("p"), &ucq).unwrap();
         assert!(!result.contained);
-        assert_eq!(result.stats.path, DecisionPath::WordAutomata);
 
         // The counterexample must be verifiable by brute force: Π derives
         // the goal tuple on the canonical database, Θ does not answer it.
@@ -541,7 +464,6 @@ mod tests {
         let r2 = decide(&nonlinear, Pred::new("p"), &ucq).unwrap();
         assert_eq!(r1.contained, r2.contained);
         assert!(!r2.contained);
-        assert_eq!(r2.stats.path, DecisionPath::TreeAutomata);
         // The nonlinear counterexample is also verifiable.
         let cex = r2.counterexample.unwrap();
         let eval = evaluate(&nonlinear, &cex.database);
@@ -585,34 +507,6 @@ mod tests {
         let eval = evaluate(&program, &cex.database);
         assert!(eval.relation(Pred::new("buys")).contains(&cex.goal_tuple));
         assert!(!evaluate_ucq(&ucq, &cex.database).contains(&cex.goal_tuple));
-    }
-
-    #[test]
-    fn word_and_tree_paths_agree_on_linear_programs() {
-        let ucq = bounded_path_ucq_binary("e", 2);
-        let with_word = datalog_contained_in_ucq_with(
-            &tc(),
-            Pred::new("p"),
-            &ucq,
-            DecisionOptions {
-                allow_word_path: true,
-                ..DecisionOptions::default()
-            },
-        )
-        .unwrap();
-        let with_tree = datalog_contained_in_ucq_with(
-            &tc(),
-            Pred::new("p"),
-            &ucq,
-            DecisionOptions {
-                allow_word_path: false,
-                ..DecisionOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(with_word.contained, with_tree.contained);
-        assert_eq!(with_word.stats.path, DecisionPath::WordAutomata);
-        assert_eq!(with_tree.stats.path, DecisionPath::TreeAutomata);
     }
 
     #[test]
@@ -691,11 +585,9 @@ mod tests {
         use metrics::RecordingSink;
         use std::collections::BTreeSet;
         let ucq = bounded_path_ucq_binary("e", 3);
-        // Force the tree path (per-pop events) and skip the cache so the
-        // engines actually run.
+        // Skip the cache so the engines actually run.
         let options = DecisionOptions {
             use_cache: false,
-            allow_word_path: false,
             ..DecisionOptions::default()
         };
         let plain = datalog_contained_in_ucq_with(&tc(), Pred::new("p"), &ucq, options).unwrap();
@@ -734,7 +626,7 @@ mod tests {
         assert_eq!(check.flag("derived"), Some(true));
         let span = sink.events.iter().find(|e| e.kind == "decision").unwrap();
         assert_eq!(span.flag("cache_hit"), Some(false));
-        assert_eq!(span.text("path"), Some("tree"));
+        assert_eq!(span.text("path"), None);
     }
 
     #[test]
@@ -743,7 +635,6 @@ mod tests {
         let ucq = bounded_path_ucq_binary("e", 3);
         let options = DecisionOptions {
             use_cache: false,
-            allow_word_path: false,
             ..DecisionOptions::default()
         };
         let mut sink = RecordingSink::new(MetricsLevel::Trace, 3);

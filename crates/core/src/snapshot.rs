@@ -2,12 +2,12 @@
 //! restarted server warms from disk instead of re-deciding its whole
 //! working set ("persisted-cache warm start", the ROADMAP hardening item).
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"NRDC"
-//! 4       4     format version, u32 LE (currently 2)
+//! 4       4     format version, u32 LE (currently 3)
 //! 8       8     payload length in bytes, u64 LE
 //! 16      8     FNV-1a 64 checksum of the payload, u64 LE
 //! 24      …     payload
@@ -24,7 +24,10 @@
 //! byte-identically (locked by `tests/cache_snapshot_prop.rs`).
 //! Version 2 extended the per-decision [`ContainmentStats`] encoding with
 //! the scheduler fields (`pairs_dominated`, `pops_skipped_dead`,
-//! `max_frontier`); version-1 files are refused, not migrated.
+//! `max_frontier`).  Version 3 dropped the decision-path byte from the
+//! stats and the word-path flag from the decision key, since every decision
+//! now runs the tree search.  Files of versions 1 and 2 are refused, not
+//! migrated.
 //!
 //! What is *not* persisted: [`crate::cache::CacheStats`] (counters describe
 //! one process's traffic), LRU recency (a loaded entry is as good as fresh),
@@ -52,7 +55,7 @@ use datalog::rule::Rule;
 use datalog::term::{Constant, Term, Var};
 
 use crate::cache::{CacheSizes, DecisionCache, DecisionKey, ExportedEntries, ProgramKey};
-use crate::containment::{ContainmentResult, ContainmentStats, Counterexample, DecisionPath};
+use crate::containment::{ContainmentResult, ContainmentStats, Counterexample};
 use crate::labels::ProofLabel;
 use crate::proof_tree::ProofTree;
 use crate::ptrees_automaton::AutomatonStats;
@@ -63,7 +66,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"NRDC";
 /// The current snapshot format version.  Bump on any encoding change; the
 /// decoder refuses other versions with
 /// [`SnapshotError::UnsupportedVersion`] instead of misreading them.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Nesting bound for decoded proof trees, so a hostile snapshot cannot
 /// overflow the decoder's stack.  Genuine witnesses are orders of magnitude
@@ -255,10 +258,6 @@ fn put_result(out: &mut Vec<u8>, result: &ContainmentResult) {
             }
         }
     }
-    out.push(match result.stats.path {
-        DecisionPath::TreeAutomata => 0,
-        DecisionPath::WordAutomata => 1,
-    });
     put_automaton_stats(out, result.stats.ptrees);
     put_automaton_stats(out, result.stats.queries);
     put_u64(out, result.stats.explored as u64);
@@ -275,7 +274,6 @@ fn put_decision_key(out: &mut Vec<u8>, key: &DecisionKey) {
     for disjunct in key.query.disjuncts() {
         put_cq_key(out, disjunct);
     }
-    put_bool(out, key.allow_word_path);
     put_bool(out, key.antichain);
     match key.max_pairs {
         None => out.push(0),
@@ -465,11 +463,6 @@ impl<'a> Reader<'a> {
             }
             other => return Err(self.err(format!("invalid counterexample tag {other}"))),
         };
-        let path = match self.u8()? {
-            0 => DecisionPath::TreeAutomata,
-            1 => DecisionPath::WordAutomata,
-            other => return Err(self.err(format!("invalid decision path tag {other}"))),
-        };
         let ptrees = self.automaton_stats()?;
         let queries = self.automaton_stats()?;
         let explored = self.usize64()?;
@@ -481,7 +474,6 @@ impl<'a> Reader<'a> {
             contained,
             counterexample,
             stats: ContainmentStats {
-                path,
                 ptrees,
                 queries,
                 explored,
@@ -502,7 +494,6 @@ impl<'a> Reader<'a> {
             disjuncts.push(self.cq_key()?);
         }
         let query = UcqKey::from_keys(disjuncts);
-        let allow_word_path = self.bool()?;
         let antichain = self.bool()?;
         let max_pairs = match self.u8()? {
             0 => None,
@@ -513,7 +504,6 @@ impl<'a> Reader<'a> {
             program,
             goal,
             query,
-            allow_word_path,
             antichain,
             max_pairs,
         })
@@ -790,6 +780,15 @@ mod tests {
             fresh.load_snapshot_bytes(&bumped),
             Err(SnapshotError::UnsupportedVersion(SNAPSHOT_VERSION + 1))
         );
+        // Earlier formats are refused, not migrated.
+        for old in [1u32, 2] {
+            let mut older = bytes.clone();
+            older[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                fresh.load_snapshot_bytes(&older),
+                Err(SnapshotError::UnsupportedVersion(old))
+            );
+        }
         let truncated = &bytes[..bytes.len() - 3];
         assert!(matches!(
             fresh.load_snapshot_bytes(truncated),

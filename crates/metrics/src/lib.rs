@@ -345,13 +345,6 @@ pub mod global {
         /// Decisions computed fresh.
         decision_cache_misses: "decision"."cache_misses"
             => "nonrec_decision_cache_misses_total", "Decisions computed fresh.";
-        /// Decisions routed through the word-automata fast path.
-        decisions_word_path: "decision"."word_path"
-            => "nonrec_decision_word_path_total",
-               "Decisions routed through the word-automata fast path.";
-        /// Decisions routed through the tree-automata path.
-        decisions_tree_path: "decision"."tree_path"
-            => "nonrec_decision_tree_path_total", "Decisions routed through the tree-automata path.";
         /// Canonical-database decisions under an explicit naive strategy.
         strategy_naive: "strategy_decisions"."naive";
         /// Canonical-database decisions under an explicit semi-naive strategy.
@@ -394,23 +387,15 @@ pub mod global {
         add(&pops_skipped_dead, skipped_dead);
     }
 
-    /// Record one completed containment decision: answered from the cache
-    /// or not, and carried by the word or the tree automata.
-    pub fn record_decision(cache_hit: bool, word_path: bool) {
+    /// Record one completed containment decision, answered from the cache
+    /// or not.
+    pub fn record_decision(cache_hit: bool) {
         add(&decisions, 1);
         add(
             if cache_hit {
                 &decision_cache_hits
             } else {
                 &decision_cache_misses
-            },
-            1,
-        );
-        add(
-            if word_path {
-                &decisions_word_path
-            } else {
-                &decisions_tree_path
             },
             1,
         );
@@ -490,7 +475,7 @@ mod tests {
     fn typed_records_land_in_the_snapshot() {
         let before = global::snapshot();
         global::record_eval(3, 100, 7);
-        global::record_decision(false, false);
+        global::record_decision(false);
         global::record_strategy_decision(global::StrategyDecision::AutoMagic);
         let delta = global::snapshot().since(&before);
         assert_eq!(delta.evals, 1);
@@ -500,8 +485,6 @@ mod tests {
         assert_eq!(delta.decisions, 1);
         assert_eq!(delta.decision_cache_misses, 1);
         assert_eq!(delta.decision_cache_hits, 0);
-        assert_eq!(delta.decisions_tree_path, 1);
-        assert_eq!(delta.decisions_word_path, 0);
         assert_eq!(delta.strategy_auto_magic, 1);
         assert_eq!(delta.strategy_naive, 0);
         assert_eq!(delta.strategy_semi_naive, 0);
@@ -523,24 +506,24 @@ mod tests {
             .iter()
             .filter(|c| c.exposition.is_some())
             .count();
-        assert_eq!(exposed, 15);
+        assert_eq!(exposed, 13);
         assert_eq!(global::snapshot().values().count(), global::COUNTERS.len());
     }
 
     #[test]
     fn event_field_lookups_distinguish_types() {
         let event = Event::new(
-            "decision",
+            "strategy",
             vec![
-                ("cache_hit", FieldValue::Flag(true)),
-                ("path", FieldValue::Text("word".to_string())),
+                ("auto", FieldValue::Flag(true)),
+                ("chosen", FieldValue::Text("magic".to_string())),
                 ("micros", FieldValue::Num(12)),
             ],
         );
-        assert_eq!(event.flag("cache_hit"), Some(true));
-        assert_eq!(event.text("path"), Some("word"));
+        assert_eq!(event.flag("auto"), Some(true));
+        assert_eq!(event.text("chosen"), Some("magic"));
         assert_eq!(event.num("micros"), Some(12));
-        assert_eq!(event.num("path"), None);
+        assert_eq!(event.num("chosen"), None);
         assert_eq!(event.flag("missing"), None);
     }
 }

@@ -19,7 +19,7 @@ use nonrec_equivalence::bounded::find_bound_with;
 use nonrec_equivalence::cache::DecisionCache;
 use nonrec_equivalence::containment::{
     datalog_contained_in_ucq_in, datalog_contained_in_ucq_with, ContainmentResult,
-    ContainmentStats, Counterexample, DecisionOptions, DecisionPath,
+    ContainmentStats, Counterexample, DecisionOptions,
 };
 use nonrec_equivalence::equivalence::{equivalent_to_nonrecursive_with, EquivalenceVerdict};
 use nonrec_equivalence::optimize::{eliminate_recursion_with, optimize, OptimizeOptions};
@@ -73,16 +73,8 @@ fn parse_query_field(field: &'static str, text: &str) -> Result<Ucq, WireError> 
         .map_err(|e| WireError::new(e.code(), format!("in field `{field}`: {e}")))
 }
 
-fn path_name(path: DecisionPath) -> &'static str {
-    match path {
-        DecisionPath::TreeAutomata => "tree",
-        DecisionPath::WordAutomata => "word",
-    }
-}
-
 fn stats_json(stats: &ContainmentStats) -> Value {
     obj(vec![
-        ("path", Value::str(path_name(stats.path))),
         ("explored", Value::num(stats.explored as f64)),
         ("pairs_dominated", Value::num(stats.pairs_dominated as f64)),
         (
@@ -511,8 +503,7 @@ mod tests {
     }
 
     const TC: &str = "p(X, Y) :- e(X, Z), p(Z, Y).\\np(X, Y) :- e(X, Y).";
-    /// Nonlinear transitive closure: not chain-shaped, so its decisions
-    /// always take the tree path.
+    /// Nonlinear transitive closure: its proof trees branch.
     const NONLINEAR_TC: &str = "p(X, Y) :- p(X, Z), p(Z, Y).\\np(X, Y) :- e(X, Y).";
 
     #[test]
@@ -524,17 +515,14 @@ mod tests {
         assert_eq!(result.get("contained").unwrap().as_bool(), Some(false));
         let cex = result.get("counterexample").unwrap();
         assert!(!cex.get("database").unwrap().as_arr().unwrap().is_empty());
-        assert_eq!(
-            result.get("stats").unwrap().get("path").unwrap().as_str(),
-            Some("word")
-        );
+        assert!(result.get("stats").unwrap().get("path").is_none());
     }
 
     #[test]
     fn trace_verb_returns_structured_events() {
-        // A nonlinear program takes the tree path, so the trace has per-pop
-        // events; the counterexample then adds a goal-directed evaluation
-        // (iteration events) plus its `witness_check` verdict.
+        // The tree search emits per-pop events; the counterexample then adds
+        // a goal-directed evaluation (iteration events) plus its
+        // `witness_check` verdict.
         let result = run(&format!(
             r#"{{"op":"trace","program":"{NONLINEAR_TC}","goal":"p","query":"q(X, Y) :- e(X, Y).","level":"trace","options":{{"no_cache":true}}}}"#
         ))
@@ -557,12 +545,12 @@ mod tests {
         ] {
             assert!(kinds.contains(&kind), "no `{kind}` event in {kinds:?}");
         }
-        // The decision span carries the path and the cache verdict.
+        // The decision span carries the cache verdict.
         let decision = events
             .iter()
             .find(|e| e.get("kind").unwrap().as_str() == Some("decision"))
             .unwrap();
-        assert_eq!(decision.get("path").unwrap().as_str(), Some("tree"));
+        assert!(decision.get("path").is_none());
         assert_eq!(decision.get("cache_hit").unwrap().as_bool(), Some(false));
     }
 

@@ -67,8 +67,7 @@ fn main() {
     }
     if let Some(containment) = &result.containment {
         println!(
-            "Decision path: {:?}; proof-tree automaton: {} states / {} transitions; explored {} product states in {} µs.",
-            containment.stats.path,
+            "Proof-tree automaton: {} states / {} transitions; explored {} product states in {} µs.",
             containment.stats.ptrees.states,
             containment.stats.ptrees.transitions,
             containment.stats.explored,

@@ -20,7 +20,9 @@
 #                  right and the 10% phase-sum gate holds — so a change that
 #                  breaks the benchmark's imports, or makes `core.decide`
 #                  drift from the benchmark's rebuilt decision, fails here,
-#                  not in a benchmark run)
+#                  not in a benchmark run); then a 5-s end-to-end
+#                  `perfbench/run.sh` smoke run of `cold_mix` against the
+#                  served binaries, which must print `"correct": true`
 #     test         cargo test -q
 #     soak         NONREC_SOAK_FAST=1 cargo test --release --test server_soak
 #                  (bounded-cache server under 4-client eviction churn:
@@ -82,7 +84,11 @@ stage_build() {
 }
 
 stage_perfbench() {
-    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml || return 1
+    local out
+    out=$(bash perfbench/run.sh --workload cold_mix --seed 601 --seconds 5 --trace 0) || return 1
+    echo "$out"
+    grep -q '"correct": true' <<<"$out"
 }
 
 stage_test() {

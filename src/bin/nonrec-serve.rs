@@ -24,8 +24,9 @@
 //!     --cache-max-decisions <N>
 //!     --cache-max-cq-pairs <N>
 //!     --cache-max-canonical <N>
-//!                           per-segment decision-cache caps (default 0 =
-//!                           unbounded); overflow evicts cost-aware LRU
+//!                           per-segment decision-cache caps (default
+//!                           1024 each; 0 = unbounded); overflow evicts
+//!                           cost-aware LRU
 //!     --cache-file <PATH>   snapshot path: warm-start from it when it
 //!                           exists, and the default for the `save_cache`
 //!                           / `load_cache` admin verbs
@@ -43,6 +44,11 @@ use std::time::Duration;
 
 use nonrec_equivalence::cache::CacheLimits;
 use server::{serve_stdio, PoolConfig, Server, ServerConfig};
+
+/// Entries per decision-cache segment unless a `--cache-max-*` flag says
+/// otherwise, so unbounded distinct traffic cannot grow the cache without
+/// limit.
+const DEFAULT_CACHE_CAP: usize = 1024;
 
 struct Args {
     addr: String,
@@ -63,7 +69,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Option<Args>, St
     let mut pool = PoolConfig::default();
     let mut deadline_ms: u64 = 30_000;
     let mut max_conns: u64 = 0;
-    let mut cache_limits = CacheLimits::unbounded();
+    let mut cache_limits = CacheLimits::uniform(DEFAULT_CACHE_CAP);
     let mut cache_file = None;
     let mut record_file: Option<std::path::PathBuf> = None;
     fn number(argv: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, String> {
@@ -124,7 +130,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Option<Args>, St
             pool,
             default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             max_connections: (max_conns > 0).then_some(max_conns as usize),
-            cache_limits: (cache_limits != CacheLimits::unbounded()).then_some(cache_limits),
+            cache_limits: Some(cache_limits),
             cache_file,
             record,
         },

@@ -205,9 +205,8 @@ fn run(args: &Args) -> Result<bool, String> {
         if let Some(containment) = &result.containment {
             let s = &containment.stats;
             println!(
-                "\n[stats] decision path {:?}: ptrees {} states / {} transitions, \
+                "\n[stats] decision: ptrees {} states / {} transitions, \
                  queries {} states / {} transitions, explored {} pairs in {} µs",
-                s.path,
                 s.ptrees.states,
                 s.ptrees.transitions,
                 s.queries.states,

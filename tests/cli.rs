@@ -94,8 +94,8 @@ fn stats_flag_prints_the_instrumentation_shape() {
     assert_eq!(output.status.code(), Some(0));
     let text = stdout(&output);
     assert!(
-        text.contains("[stats] decision path"),
-        "missing decision path row:\n{text}"
+        text.contains("[stats] decision:"),
+        "missing decision row:\n{text}"
     );
     assert!(
         text.contains("[stats] unfolding:"),

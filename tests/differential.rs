@@ -3,17 +3,26 @@
 //! substrate invariants (Chandra–Merlin, naive vs. semi-naive evaluation)
 //! are checked on randomly generated instances.
 
+use automata::tree::ops::union as tree_union;
+use automata::tree::TreeAutomaton;
+use automata::word::containment::contained_in as word_contained_in;
+use automata::word::Nfa;
 use cq::canonical::canonical_database;
 use cq::containment::{cq_contained_in, ucq_contained_in};
 use cq::eval::{evaluate_cq, evaluate_ucq};
 use cq::generate::{bounded_path_ucq_binary, random_cq, RandomCqConfig};
+use cq::Ucq;
 use datalog::atom::Pred;
 use datalog::eval::{evaluate, evaluate_with, EvalOptions, Strategy};
 use datalog::generate::{
     random_database, random_program, RandomDatabaseConfig, RandomProgramConfig,
 };
+use datalog::program::Program;
 use nonrec_equivalence::containment::{datalog_contained_in_ucq_with, DecisionOptions};
+use nonrec_equivalence::cq_automaton::CqAutomaton;
 use nonrec_equivalence::expansions_up_to_depth_limited;
+use nonrec_equivalence::labels::ProofLabel;
+use nonrec_equivalence::ptrees_automaton::PtreesAutomaton;
 
 const CASES: u64 = 48;
 
@@ -107,35 +116,81 @@ fn bounded_unfoldings_are_always_contained_in_the_program() {
     }
 }
 
-/// The word-automata fast path and the tree-automata path always agree on
+/// Reinterpret a tree automaton whose transitions have arity ≤ 1 as a word
+/// automaton: a unary tree is the word of its labels read from the root to
+/// the leaf.
+fn tree_to_word(automaton: &TreeAutomaton<ProofLabel>) -> Nfa<ProofLabel> {
+    let mut nfa = Nfa::new(automaton.state_count() + 1);
+    let accept = automaton.state_count();
+    nfa.add_accepting(accept);
+    for &s in automaton.initial() {
+        nfa.add_initial(s);
+    }
+    for (state, label, tuple) in automaton.transitions() {
+        match tuple.as_slice() {
+            [] => nfa.add_transition(state, label.clone(), accept),
+            [child] => nfa.add_transition(state, label.clone(), *child),
+            _ => unreachable!("chain programs have no branching transitions"),
+        }
+    }
+    nfa
+}
+
+/// Is `Π(goal) ⊆ Θ` by the word-automata oracle (Theorem 5.12's EXPSPACE
+/// track), run on the same A_ptrees and A_θ automata the decision builds?
+fn word_oracle(program: &Program, goal: Pred, ucq: &Ucq) -> bool {
+    let ptrees = PtreesAutomaton::build(program, goal);
+    let mut queries: TreeAutomaton<ProofLabel> = TreeAutomaton::new(0);
+    for disjunct in &ucq.disjuncts {
+        let a_theta = CqAutomaton::build(&ptrees.context, goal, disjunct);
+        queries = tree_union(&queries, &a_theta.automaton);
+    }
+    word_contained_in(&tree_to_word(&ptrees.automaton), &tree_to_word(&queries)).is_contained()
+}
+
+/// The uncached tree decision, its witness re-validated: Π derives the goal
+/// tuple on the canonical database and Θ does not answer it.
+fn validated_tree_decision(program: &Program, goal: Pred, ucq: &Ucq) -> bool {
+    let result = datalog_contained_in_ucq_with(
+        program,
+        goal,
+        ucq,
+        DecisionOptions {
+            use_cache: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    if let Some(cex) = &result.counterexample {
+        let derived = evaluate(program, &cex.database);
+        assert!(derived.relation(goal).contains(&cex.goal_tuple));
+        assert!(!evaluate_ucq(ucq, &cex.database).contains(&cex.goal_tuple));
+    }
+    assert_eq!(result.counterexample.is_none(), result.contained);
+    result.contained
+}
+
+/// The word-automata oracle and the tree decision always agree on
 /// chain-shaped programs.
 #[test]
 fn word_and_tree_decision_paths_agree() {
     let tc = datalog::generate::transitive_closure("e", "e");
     for k in 1..=3 {
         let ucq = bounded_path_ucq_binary("e", k);
-        let word = datalog_contained_in_ucq_with(
-            &tc,
-            Pred::new("p"),
-            &ucq,
-            DecisionOptions {
-                allow_word_path: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let tree = datalog_contained_in_ucq_with(
-            &tc,
-            Pred::new("p"),
-            &ucq,
-            DecisionOptions {
-                allow_word_path: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(word.contained, tree.contained, "k = {k}");
+        let word = word_oracle(&tc, Pred::new("p"), &ucq);
+        let tree = validated_tree_decision(&tc, Pred::new("p"), &ucq);
+        assert_eq!(word, tree, "k = {k}");
     }
+}
+
+/// The same agreement on linear TC against the 2-path UCQ (a refutation).
+#[test]
+fn word_and_tree_paths_agree_on_linear_programs() {
+    let tc = datalog::generate::transitive_closure("e", "e");
+    let ucq = bounded_path_ucq_binary("e", 2);
+    let word = word_oracle(&tc, Pred::new("p"), &ucq);
+    assert!(!word);
+    assert_eq!(word, validated_tree_decision(&tc, Pred::new("p"), &ucq));
 }
 
 /// Chandra–Merlin, sampled: θ ⊆ ψ (decided by containment mapping) iff

@@ -58,7 +58,7 @@ fn nonrecursive_programs_get_an_exhaustive_answer() {
 }
 
 #[test]
-fn chain_program_detection_drives_the_word_fast_path() {
+fn chain_program_detection_is_stricter_than_linearity() {
     assert!(is_chain_program(&transitive_closure("e", "e")));
     assert!(!is_chain_program(&transitive_closure_nonlinear("e")));
     // A linear-but-not-chain program: two IDB subgoals, only one recursive.
@@ -84,7 +84,6 @@ fn antichain_and_exhaustive_containment_agree() {
             &ucq,
             DecisionOptions {
                 antichain: true,
-                allow_word_path: false,
                 max_pairs: None,
                 ..DecisionOptions::default()
             },
@@ -96,7 +95,6 @@ fn antichain_and_exhaustive_containment_agree() {
             &ucq,
             DecisionOptions {
                 antichain: false,
-                allow_word_path: false,
                 max_pairs: None,
                 ..DecisionOptions::default()
             },
@@ -117,7 +115,6 @@ fn resource_limit_is_reported_as_an_error() {
         &ucq,
         DecisionOptions {
             antichain: true,
-            allow_word_path: false,
             max_pairs: Some(1),
             ..DecisionOptions::default()
         },

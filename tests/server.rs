@@ -763,11 +763,20 @@ fn router_shards_requests_and_answers_like_the_oracle() {
 // ---- Observability: the `trace` and `metrics_text` verbs, and the
 // golden shape of `stats`.
 
-/// A chain transitive-closure program: its decisions take the word path.
+/// A chain (linear) transitive-closure program: its proof trees are paths.
 const CHAIN_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).";
 
-/// Nonlinear transitive closure: not chain-shaped, so its decisions take
-/// the tree engine, whose trace has per-pop events.
+/// The union of the 1-, 2- and 3-edge path queries.
+const PATH_UCQ_K3: &str = "q(X, Y) :- e(X, Y).\n\
+                           q(X, Y) :- e(X, Z1), e(Z1, Y).\n\
+                           q(X, Y) :- e(X, Z1), e(Z1, Z2), e(Z2, Y).";
+
+/// Example 1.1's Π₁ (a chain program) and the UCQ it is equivalent to.
+const BUYS: &str = "buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), buys(Z, Y).";
+/// See [`BUYS`].
+const BUYS_UCQ: &str = "buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), likes(Z, Y).";
+
+/// Nonlinear transitive closure: its proof trees branch.
 const NONLINEAR_TC: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).";
 
 /// Build a `trace` request over the nonlinear program.  `no_cache` keeps
@@ -894,6 +903,14 @@ fn trace_verb_streams_events_and_enforces_its_budget() {
     );
 }
 
+/// `request` with extra top-level fields appended.
+fn with(mut request: Value, extra: Vec<(&str, Value)>) -> Value {
+    if let Value::Obj(fields) = &mut request {
+        fields.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
+    }
+    request
+}
+
 /// No request key selects an engine: `trace`'s `schedule` and
 /// `options.strategy` are ignored like any unknown key.  The shared cache
 /// stores decision stats, so a `"schedule":"fifo"` trace must store what a
@@ -905,12 +922,6 @@ fn removed_engine_selectors_change_no_answer_and_no_cached_stats() {
     const QUERY: &str = "q(X, Y) :- e(X, Y).\nq(X, Y) :- e(X, Z), e(Z, Y).";
     const CANDIDATE: &str = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), e(Z, Y).";
 
-    fn with(mut request: Value, extra: Vec<(&str, Value)>) -> Value {
-        if let Value::Obj(fields) = &mut request {
-            fields.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
-        }
-        request
-    }
     /// The `stats` object of a decision result, minus its wall-clock time.
     fn stats_without_micros(result: &Value) -> Value {
         match result.get("stats") {
@@ -982,9 +993,10 @@ fn removed_engine_selectors_change_no_answer_and_no_cached_stats() {
     );
 }
 
-/// `no_word_path` is gone from the wire: a chain containment sent with it
-/// answers exactly as one sent without it (wall-clock times aside), both
-/// on the word path.
+/// `no_word_path` is gone from the wire: every decision runs the tree
+/// search, so a request sent with it answers exactly as one sent without
+/// it (wall-clock times aside), on refuted and contained chain programs
+/// alike.
 #[test]
 fn no_word_path_is_accepted_and_ignored() {
     fn without_micros(value: &Value) -> Value {
@@ -1000,40 +1012,117 @@ fn no_word_path_is_accepted_and_ignored() {
             other => other.clone(),
         }
     }
-    let request = |options: Vec<(&str, Value)>| {
-        let mut request = protocol::containment_request(CHAIN_TC, "p", "q(X, Y) :- e(X, Y).");
-        if let Value::Obj(fields) = &mut request {
-            fields.push(("options".into(), obj(options)));
-        }
-        request
-    };
-
     let server = ServerProc::spawn(&[]);
     let mut client = server.client();
-    let plain = client
-        .request(&request(vec![("no_cache", Value::Bool(true))]))
-        .expect("plain containment");
-    let flagged = client
-        .request(&request(vec![
-            ("no_cache", Value::Bool(true)),
-            ("no_word_path", Value::Bool(true)),
-        ]))
-        .expect("containment with no_word_path");
+    for request in [
+        protocol::containment_request(CHAIN_TC, "p", "q(X, Y) :- e(X, Y)."),
+        protocol::containment_request(CHAIN_TC, "p", "q(X, Y) :- e(U, V)."),
+        protocol::equivalence_request(BUYS, "buys", BUYS_UCQ),
+    ] {
+        let plain = client
+            .request(&with(
+                request.clone(),
+                vec![("options", obj(vec![("no_cache", Value::Bool(true))]))],
+            ))
+            .expect("plain request");
+        let flagged = client
+            .request(&with(
+                request,
+                vec![(
+                    "options",
+                    obj(vec![
+                        ("no_cache", Value::Bool(true)),
+                        ("no_word_path", Value::Bool(true)),
+                    ]),
+                )],
+            ))
+            .expect("request with no_word_path");
+        assert_eq!(
+            plain.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "got {}",
+            plain.render()
+        );
+        let stats = plain.get("result").and_then(|r| r.get("stats")).unwrap();
+        assert!(stats.get("path").is_none(), "got {}", plain.render());
+        assert_eq!(without_micros(&flagged), without_micros(&plain));
+    }
+}
+
+/// `max_pairs` bounds linear programs too: a chain containment whose tree
+/// search needs more than one product pair answers `resource_limit`.
+#[test]
+fn max_pairs_bounds_linear_programs() {
+    let server = ServerProc::spawn(&[]);
+    let mut client = server.client();
+    let request = protocol::containment_request(CHAIN_TC, "p", PATH_UCQ_K3);
+    let bounded = client
+        .request(&with(
+            request.clone(),
+            vec![(
+                "options",
+                obj(vec![
+                    ("max_pairs", Value::num(1.0)),
+                    ("no_cache", Value::Bool(true)),
+                ]),
+            )],
+        ))
+        .expect("bounded containment");
     assert_eq!(
-        plain.get("ok").and_then(Value::as_bool),
-        Some(true),
-        "got {}",
-        plain.render()
-    );
-    assert_eq!(
-        plain
-            .get("result")
-            .and_then(|r| r.get("stats"))
-            .and_then(|s| s.get("path"))
+        bounded
+            .get("error")
+            .and_then(|e| e.get("code"))
             .and_then(Value::as_str),
-        Some("word")
+        Some("resource_limit"),
+        "got {}",
+        bounded.render()
     );
-    assert_eq!(without_micros(&flagged), without_micros(&plain));
+    let unbounded = client
+        .request(&with(
+            request,
+            vec![("options", obj(vec![("no_cache", Value::Bool(true))]))],
+        ))
+        .expect("unbounded containment");
+    assert_eq!(
+        unbounded
+            .get("result")
+            .and_then(|r| r.get("contained"))
+            .and_then(Value::as_bool),
+        Some(false),
+        "got {}",
+        unbounded.render()
+    );
+}
+
+/// A `nonrec-serve` started without cache flags caps every decision-cache
+/// segment at 1024 entries; a `--cache-max-*` of 0 still means unbounded.
+#[test]
+fn cache_segments_are_capped_by_default() {
+    fn limits(server: &ServerProc) -> Value {
+        let response = server
+            .client()
+            .request(&protocol::cache_limits_request(None))
+            .expect("cache_limits");
+        response
+            .get("result")
+            .and_then(|r| r.get("limits"))
+            .cloned()
+            .unwrap_or_else(|| panic!("no limits in {}", response.render()))
+    }
+    let capped = limits(&ServerProc::spawn(&[]));
+    for segment in ["max_decisions", "max_cq_pairs", "max_cq_in_program"] {
+        assert_eq!(
+            capped.get(segment).and_then(Value::as_u64),
+            Some(1024),
+            "{segment}"
+        );
+    }
+    let unbounded = limits(&ServerProc::spawn(&["--cache-max-decisions", "0"]));
+    assert_eq!(unbounded.get("max_decisions"), Some(&Value::Null));
+    assert_eq!(
+        unbounded.get("max_cq_pairs").and_then(Value::as_u64),
+        Some(1024)
+    );
 }
 
 /// Pipelined traces interleaved with decisions: every response correlates
@@ -1253,13 +1342,7 @@ fn stats_payload_has_the_golden_shape() {
     );
     assert_eq!(
         keys(metrics.get("decision").unwrap()),
-        vec![
-            "runs",
-            "cache_hits",
-            "cache_misses",
-            "word_path",
-            "tree_path"
-        ]
+        vec!["runs", "cache_hits", "cache_misses",]
     );
     let verbs = result.get("verbs").unwrap();
     assert_eq!(
@@ -1396,7 +1479,7 @@ fn stats_and_metrics_text_render_one_registry_that_counts_traces() {
         );
         compared += 1;
     }
-    assert_eq!(compared, 15, "every engine counter is compared");
+    assert_eq!(compared, 13, "every engine counter is compared");
 }
 
 /// Satellite: the text-level memo layers must never capture or serve

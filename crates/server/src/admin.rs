@@ -21,20 +21,10 @@
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nonrec_equivalence::cache::{CacheSizes, DecisionCache};
+use nonrec_equivalence::cache::{CacheLimits, CacheSizes, DecisionCache};
 
 use crate::json::{obj, Value};
-use crate::protocol::{Command, WireError};
-
-/// Admin-verb configuration: the default snapshot path (from
-/// `--cache-file`), used when a `save_cache`/`load_cache` request names no
-/// path of its own.
-#[derive(Clone, Debug, Default)]
-pub struct AdminContext {
-    /// Default snapshot path; `None` means path-less save/load requests
-    /// are answered `bad_request`.
-    pub cache_file: Option<PathBuf>,
-}
+use crate::protocol::WireError;
 
 fn sizes_json(sizes: CacheSizes) -> Value {
     obj(vec![
@@ -45,12 +35,16 @@ fn sizes_json(sizes: CacheSizes) -> Value {
     ])
 }
 
-/// Resolve the target of a `save_cache`/`load_cache` request.  Persistence
-/// requires `--cache-file`; a request-supplied `path` must be a bare file
-/// name (one normal component — no directories, no `..`, not absolute) and
-/// resolves into the configured file's directory.
-fn resolve_path(requested: &Option<String>, context: &AdminContext) -> Result<PathBuf, WireError> {
-    let default = context.cache_file.as_deref().ok_or_else(|| {
+/// Resolve the target of a `save_cache`/`load_cache` request against the
+/// server's `--cache-file` (`None`: persistence is disabled).  A
+/// request-supplied `path` must be a bare file name (one normal component
+/// — no directories, no `..`, not absolute) and resolves into the
+/// configured file's directory.
+fn resolve_path(
+    requested: &Option<String>,
+    cache_file: Option<&Path>,
+) -> Result<PathBuf, WireError> {
+    let default = cache_file.ok_or_else(|| {
         WireError::bad_request(
             "snapshot persistence is disabled: the server was started without --cache-file",
         )
@@ -74,7 +68,43 @@ fn resolve_path(requested: &Option<String>, context: &AdminContext) -> Result<Pa
     }
 }
 
-fn save_cache(cache: &DecisionCache, path: &Path) -> Result<Value, WireError> {
+/// `clear_cache`: drop every cache layer, reporting what each held.
+pub(crate) fn clear_cache(cache: &DecisionCache) -> Value {
+    // "Forget everything" covers the text-level memos too: a repeated
+    // request after a clear must recompute, not replay.
+    let memoised = crate::memo::ResponseMemo::global().len();
+    crate::memo::ResponseMemo::global().clear();
+    let lines = crate::memo::LineMemo::global().len();
+    crate::memo::LineMemo::global().clear();
+    let dropped = cache.clear();
+    obj(vec![
+        ("dropped", sizes_json(dropped)),
+        ("dropped_memo", Value::num(memoised as f64)),
+        ("dropped_memo_lines", Value::num(lines as f64)),
+    ])
+}
+
+/// `cache_limits`: install `set` (when given), then report the limits in
+/// force, the segment sizes and the eviction count.
+pub(crate) fn cache_limits(cache: &DecisionCache, set: Option<CacheLimits>) -> Value {
+    if let Some(limits) = set {
+        cache.set_limits(limits);
+    }
+    obj(vec![
+        ("limits", crate::protocol::cache_limits_json(cache.limits())),
+        ("sizes", sizes_json(cache.sizes())),
+        ("evictions", Value::num(cache.stats().evictions() as f64)),
+    ])
+}
+
+/// `save_cache`: persist `cache` to the requested snapshot file (see
+/// the module docs for where it may live).
+pub(crate) fn save_cache(
+    cache: &DecisionCache,
+    requested: &Option<String>,
+    cache_file: Option<&Path>,
+) -> Result<Value, WireError> {
+    let path = resolve_path(requested, cache_file)?;
     let (bytes, saved) = cache.snapshot();
     // Write-then-rename so a crash mid-write cannot leave a half snapshot
     // under the real name (the checksum would catch it, but a warm start
@@ -91,7 +121,7 @@ fn save_cache(cache: &DecisionCache, path: &Path) -> Result<Value, WireError> {
         TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
     ));
     std::fs::write(&tmp, &bytes)
-        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| std::fs::rename(&tmp, &path))
         .map_err(|e| WireError::new("io_error", format!("writing {}: {e}", path.display())))?;
     Ok(obj(vec![
         ("path", Value::str(path.display().to_string())),
@@ -102,8 +132,14 @@ fn save_cache(cache: &DecisionCache, path: &Path) -> Result<Value, WireError> {
     ]))
 }
 
-fn load_cache(cache: &DecisionCache, path: &Path) -> Result<Value, WireError> {
-    let bytes = std::fs::read(path)
+/// `load_cache`: merge the requested snapshot file into `cache`.
+pub(crate) fn load_cache(
+    cache: &DecisionCache,
+    requested: &Option<String>,
+    cache_file: Option<&Path>,
+) -> Result<Value, WireError> {
+    let path = resolve_path(requested, cache_file)?;
+    let bytes = std::fs::read(&path)
         .map_err(|e| WireError::new("io_error", format!("reading {}: {e}", path.display())))?;
     let added = cache
         .load_snapshot_bytes(&bytes)
@@ -113,49 +149,6 @@ fn load_cache(cache: &DecisionCache, path: &Path) -> Result<Value, WireError> {
         ("loaded", sizes_json(added)),
         ("entries", Value::num(cache.len() as f64)),
     ]))
-}
-
-/// Execute an admin command against the shared cache, producing the
-/// `result` payload.  Returns `None` for non-admin commands, so the caller
-/// can fall through to the pool.
-pub fn execute_admin(
-    command: &Command,
-    context: &AdminContext,
-) -> Option<Result<Value, WireError>> {
-    let cache = DecisionCache::global();
-    Some(match command {
-        Command::ClearCache => {
-            // "Forget everything" covers the text-level memos too: a
-            // repeated request after a clear must recompute, not replay.
-            let memoised = crate::memo::ResponseMemo::global().len();
-            crate::memo::ResponseMemo::global().clear();
-            let lines = crate::memo::LineMemo::global().len();
-            crate::memo::LineMemo::global().clear();
-            let dropped = cache.clear();
-            Ok(obj(vec![
-                ("dropped", sizes_json(dropped)),
-                ("dropped_memo", Value::num(memoised as f64)),
-                ("dropped_memo_lines", Value::num(lines as f64)),
-            ]))
-        }
-        Command::CacheLimits { set } => {
-            if let Some(limits) = set {
-                cache.set_limits(*limits);
-            }
-            Ok(obj(vec![
-                ("limits", crate::protocol::cache_limits_json(cache.limits())),
-                ("sizes", sizes_json(cache.sizes())),
-                ("evictions", Value::num(cache.stats().evictions() as f64)),
-            ]))
-        }
-        Command::SaveCache { path } => {
-            resolve_path(path, context).and_then(|path| save_cache(cache, &path))
-        }
-        Command::LoadCache { path } => {
-            resolve_path(path, context).and_then(|path| load_cache(cache, &path))
-        }
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -168,16 +161,12 @@ mod tests {
 
     #[test]
     fn persistence_without_cache_file_is_refused() {
-        for command in [
-            Command::SaveCache { path: None },
-            Command::SaveCache {
-                path: Some("snap.nrdc".into()),
-            },
-            Command::LoadCache { path: None },
+        let cache = DecisionCache::global();
+        for err in [
+            save_cache(cache, &None, None).unwrap_err(),
+            save_cache(cache, &Some("snap.nrdc".into()), None).unwrap_err(),
+            load_cache(cache, &None, None).unwrap_err(),
         ] {
-            let err = execute_admin(&command, &AdminContext::default())
-                .unwrap()
-                .unwrap_err();
             assert_eq!(err.code, "bad_request");
             assert!(err.message.contains("--cache-file"));
         }
@@ -185,18 +174,10 @@ mod tests {
 
     #[test]
     fn request_paths_are_confined_to_the_cache_file_directory() {
-        let context = AdminContext {
-            cache_file: Some(tmp_path("confined.nrdc")),
-        };
+        let cache = DecisionCache::global();
+        let cache_file = tmp_path("confined.nrdc");
         for escape in ["../escape.nrdc", "/etc/passwd", "a/b.nrdc", ".."] {
-            let err = execute_admin(
-                &Command::SaveCache {
-                    path: Some(escape.to_string()),
-                },
-                &context,
-            )
-            .unwrap()
-            .unwrap_err();
+            let err = save_cache(cache, &Some(escape.to_string()), Some(&cache_file)).unwrap_err();
             assert_eq!(err.code, "bad_request", "for {escape}");
             assert!(err.message.contains("bare file name"), "for {escape}");
         }
@@ -204,14 +185,7 @@ mod tests {
         let name = format!("confined-sibling-{}.nrdc", std::process::id());
         let sibling = std::env::temp_dir().join(&name);
         let _ = std::fs::remove_file(&sibling);
-        let result = execute_admin(
-            &Command::SaveCache {
-                path: Some(name.clone()),
-            },
-            &context,
-        )
-        .unwrap()
-        .unwrap();
+        let result = save_cache(cache, &Some(name.clone()), Some(&cache_file)).unwrap();
         assert_eq!(
             result.get("path").unwrap().as_str(),
             Some(sibling.display().to_string().as_str())
@@ -222,52 +196,32 @@ mod tests {
 
     #[test]
     fn load_failures_carry_stable_codes() {
+        let cache = DecisionCache::global();
         let missing = tmp_path("missing.nrdc");
         let _ = std::fs::remove_file(&missing);
-        let context = AdminContext {
-            cache_file: Some(missing),
-        };
-        let err = execute_admin(&Command::LoadCache { path: None }, &context)
-            .unwrap()
-            .unwrap_err();
+        let err = load_cache(cache, &None, Some(&missing)).unwrap_err();
         assert_eq!(err.code, "io_error");
 
         let garbage = tmp_path("garbage.nrdc");
         std::fs::write(&garbage, b"not a snapshot").unwrap();
-        let context = AdminContext {
-            cache_file: Some(garbage.clone()),
-        };
-        let err = execute_admin(&Command::LoadCache { path: None }, &context)
-            .unwrap()
-            .unwrap_err();
+        let err = load_cache(cache, &None, Some(&garbage)).unwrap_err();
         assert_eq!(err.code, "snapshot_error");
         let _ = std::fs::remove_file(&garbage);
     }
 
     #[test]
     fn save_uses_the_configured_default_path() {
+        let cache = DecisionCache::global();
         let path = tmp_path("default.nrdc");
-        let context = AdminContext {
-            cache_file: Some(path.clone()),
-        };
-        let result = execute_admin(&Command::SaveCache { path: None }, &context)
-            .unwrap()
-            .unwrap();
+        let result = save_cache(cache, &None, Some(&path)).unwrap();
         assert_eq!(
             result.get("path").unwrap().as_str(),
             Some(path.display().to_string().as_str())
         );
         assert!(path.exists());
         // And loads back through the same default.
-        let loaded = execute_admin(&Command::LoadCache { path: None }, &context)
-            .unwrap()
-            .unwrap();
+        let loaded = load_cache(cache, &None, Some(&path)).unwrap();
         assert!(loaded.get("loaded").is_some());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn non_admin_commands_fall_through() {
-        assert!(execute_admin(&Command::Stats, &AdminContext::default()).is_none());
     }
 }

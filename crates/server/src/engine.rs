@@ -29,9 +29,12 @@ use nonrec_equivalence::unfold::UnfoldStats;
 use crate::json::{obj, Value};
 use crate::protocol::{Command, RequestOptions, WireError};
 
-/// A cap applied to every request that does not set `max_pairs` itself, so
-/// one pathological input cannot occupy a worker forever.  Generous: the
-/// repo's whole generated differential suite stays well under it.
+/// A cap on the containment search's pairs, applied to every request that
+/// does not set `max_pairs` itself.  It bounds the search only: the
+/// A_ptrees and A_θ builds before it have no budget, so one pathological
+/// input can still occupy a worker for as long as those builds take
+/// (ROADMAP item 4).  Generous: the repo's whole generated differential
+/// suite stays well under it.
 pub const DEFAULT_MAX_PAIRS: usize = 5_000_000;
 
 /// Input-size caps for the `optimize` and `minimize` verbs.  Their

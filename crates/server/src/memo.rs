@@ -217,6 +217,17 @@ impl ResponseMemo {
 /// pure functions of the line, so replaying one verbatim is exactly what
 /// the wire contract promises.  Error responses are never stored, and the
 /// `clear_cache` admin verb clears this memo along with the others.
+///
+/// Which traffic it serves: the key includes the `id`, so it hits only on
+/// id-less or replayed byte-identical lines — the serve bench's pipelined
+/// warm bursts (E14) and every `nonrec-replay` pass after the first.
+/// There it is most of the warm speed: with lookup and store stubbed
+/// out, the serve bench's single-client pipelined warm phase
+/// (`NONREC_BENCH_FAST=1`, 2 cores) fell from 306k–348k to 65k–73k rps,
+/// and its E14 gate (pipelined ≥ 5× round trip) failed at 2.0–3.9× in
+/// three runs.  On unique-id traffic (the repository benchmark's
+/// `warm_zipf` and `warm_routed`) it never hits, and each answered line
+/// costs a store.
 #[derive(Default)]
 pub struct LineMemo {
     inner: Mutex<Lru<(&'static str, String)>>,

@@ -10,10 +10,14 @@
 //!   already-expired job answers `deadline_exceeded` without computing, so
 //!   a burst cannot make the server burn workers on answers nobody is
 //!   waiting for, and a `batch` re-checks its deadline between items.  A
-//!   decision already running is never preempted — its runtime is bounded
-//!   by the `max_pairs` cap ([`crate::engine::DEFAULT_MAX_PAIRS`]); the
-//!   `optimize` verb, whose oracle has no such budget, is bounded by
-//!   input-size caps instead ([`crate::engine::MAX_OPTIMIZE_ATOMS`]).
+//!   decision already running is never preempted, and nothing bounds its
+//!   runtime as a whole: the `max_pairs` cap
+//!   ([`crate::engine::DEFAULT_MAX_PAIRS`]) bounds only the containment
+//!   search, while the A_ptrees and A_θ automaton builds that precede it
+//!   run with no budget (a 562-byte request can hold a worker for
+//!   seconds and hundreds of MB; ROADMAP item 4).  The `optimize` verb,
+//!   whose oracle has no search budget either, is bounded by input-size
+//!   caps instead ([`crate::engine::MAX_OPTIMIZE_ATOMS`]).
 
 use std::collections::VecDeque;
 use std::sync::mpsc;

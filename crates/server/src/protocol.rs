@@ -282,15 +282,15 @@ impl Command {
     /// `save_cache`, `load_cache`): answered on the connection thread,
     /// rejected inside batches.
     pub fn is_admin(&self) -> bool {
-        matches!(
-            self,
-            Command::ClearCache
-                | Command::CacheLimits { .. }
-                | Command::SaveCache { .. }
-                | Command::LoadCache { .. }
-        )
+        ADMIN_VERBS.contains(&self.verb())
     }
 }
+
+/// The cache-admin verbs.  `nonrec-serve` answers them on the connection
+/// thread and refuses them inside batches; `nonrec-route` refuses them
+/// outright (the cache is per-shard state).
+pub(crate) const ADMIN_VERBS: [&str; 4] =
+    ["clear_cache", "cache_limits", "save_cache", "load_cache"];
 
 /// A request: the optional client correlation `id` plus the command.
 #[derive(Clone, Debug, PartialEq)]

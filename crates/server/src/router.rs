@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -34,8 +34,8 @@ use datalog::parser::parse_program;
 use nonrec_equivalence::ProgramKey;
 
 use crate::json::{self, obj, Value};
-use crate::protocol::{error_response, ok_response, WireError};
-use crate::server::{read_line_limited, write_loop, LineRead, MAX_LINE_BYTES};
+use crate::protocol::{error_response, ok_response, WireError, ADMIN_VERBS};
+use crate::server::{line_too_long_response, serve_connection, Frame};
 
 /// The router's own stable error code: no shard could take the request.
 /// Distinct from `busy` (a *backend's* queue is full — forwarded verbatim):
@@ -210,7 +210,8 @@ impl Router {
             std::thread::Builder::new()
                 .name("nonrec-route-conn".to_string())
                 .spawn(move || {
-                    let _ = handle_client(stream, &shared);
+                    let _ =
+                        serve_connection(stream, |frame, reply| route_frame(frame, reply, &shared));
                 })
                 .expect("spawn router connection thread");
         }
@@ -276,76 +277,19 @@ fn swap_id(value: &mut Value, new_id: Value) -> Option<Value> {
     None
 }
 
-const ADMIN_OPS: [&str; 4] = ["clear_cache", "cache_limits", "save_cache", "load_cache"];
-
-fn handle_client(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let (reply, responses) = mpsc::channel::<String>();
-    let writer_alive = AtomicBool::new(true);
-    std::thread::scope(|scope| {
-        let alive = &writer_alive;
-        let writer = scope.spawn(move || write_loop(stream, &responses, alive));
-        let read_result = client_read_loop(&mut reader, &reply, &writer_alive, shared);
-        drop(reply);
-        // In-flight entries owned by this client: their responses will find
-        // a disconnected channel and be dropped, which is correct — the
-        // client is gone.
-        let write_result = writer.join().expect("router writer thread never panics");
-        read_result.and(write_result)
-    })
-}
-
-fn client_read_loop(
-    reader: &mut impl BufRead,
-    reply: &mpsc::Sender<String>,
-    writer_alive: &AtomicBool,
-    shared: &Arc<Shared>,
-) -> std::io::Result<()> {
-    loop {
-        if !writer_alive.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let line = match read_line_limited(reader, MAX_LINE_BYTES)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::TooLongResynced => {
+/// Route one frame: answer `stats`, over-long lines and malformed input
+/// locally, reject admin verbs, forward everything else to a shard.
+fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shared>) {
+    let line = match frame {
+        Frame::Line(line) => line,
+        Frame::TooLong { resynced } => {
+            if resynced {
                 shared.counters().bad_request += 1;
-                let _ = reply.send(
-                    error_response(
-                        &None,
-                        &WireError::bad_request(format!(
-                            "request line exceeds the size limit; the line was discarded \
-                             (limit {MAX_LINE_BYTES} bytes)"
-                        )),
-                    )
-                    .render(),
-                );
-                continue;
             }
-            LineRead::TooLongAbandoned => {
-                let _ = reply.send(
-                    error_response(
-                        &None,
-                        &WireError::bad_request(format!(
-                            "request line exceeds the size limit with no terminator; \
-                             closing the connection (limit {MAX_LINE_BYTES} bytes)"
-                        )),
-                    )
-                    .render(),
-                );
-                return Ok(());
-            }
-            LineRead::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
+            let _ = reply.send(line_too_long_response(resynced).render());
+            return;
         }
-        route_line(&line, reply, shared);
-    }
-}
-
-/// Route one request line: answer `stats` and malformed input locally,
-/// reject admin verbs, forward everything else to a shard.
-fn route_line(line: &str, reply: &mpsc::Sender<String>, shared: &Arc<Shared>) {
+    };
     shared.counters().requests += 1;
     let mut value = match json::parse(line) {
         Ok(value) => value,
@@ -373,7 +317,7 @@ fn route_line(line: &str, reply: &mpsc::Sender<String>, shared: &Arc<Shared>) {
         let _ = reply.send(ok_response(&id, "stats", stats_json(shared)).render());
         return;
     }
-    if ADMIN_OPS.contains(&op) {
+    if ADMIN_VERBS.contains(&op) {
         shared.counters().bad_request += 1;
         let _ = reply.send(
             error_response(
@@ -657,6 +601,7 @@ fn stats_json(shared: &Arc<Shared>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
     fn route_hash_is_structural_and_deterministic() {
@@ -731,6 +676,14 @@ mod tests {
             rejected.get("error").unwrap().get("code").unwrap().as_str(),
             Some("bad_request")
         );
+        // A terminated line over the cap is answered `bad_request` with the
+        // server's text, and the connection survives it.
+        let oversized = "x".repeat(crate::server::MAX_LINE_BYTES + 1);
+        let rejection = client.request_line(&oversized).unwrap();
+        assert_eq!(rejection, line_too_long_response(true).render());
+        assert!(rejection.contains(
+            "request line exceeds the size limit; the line was discarded (limit 4194304 bytes)"
+        ));
         // The router's own stats reflect what happened.
         let stats = client.request(&crate::protocol::stats_request()).unwrap();
         let router_block = stats.get("result").unwrap().get("router").unwrap();
@@ -738,7 +691,16 @@ mod tests {
             router_block.get("shard_unavailable").unwrap().as_u64(),
             Some(1)
         );
+        assert_eq!(router_block.get("bad_request").unwrap().as_u64(), Some(2));
         let shards = stats.get("result").unwrap().get("shards").unwrap();
         assert_eq!(shards.as_arr().unwrap().len(), 2);
+        // An unterminated line over the cap gets one error line, then the
+        // connection closes.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(oversized.as_bytes()).unwrap();
+        let mut answer = String::new();
+        raw.read_to_string(&mut answer).unwrap();
+        assert_eq!(answer, line_too_long_response(false).render() + "\n");
+        assert!(answer.contains("with no terminator; closing the connection"));
     }
 }

@@ -10,16 +10,18 @@
 //! [`nonrec_equivalence::cache::DecisionCache`] — the cache amortisation
 //! the ROADMAP's serving track asks for.
 //!
-//! Per connection there are two loops:
+//! Per connection there are two loops (`serve_pipelined`, which
+//! `nonrec-route` runs for its client connections too):
 //!
 //! * the **reader** (the connection thread) drains every complete request
 //!   line per wakeup.  Invalid JSON and malformed requests are answered
-//!   without spending a queue slot; `stats` and the admin verbs execute
-//!   right here, **in stream order relative to each other**, so an
-//!   operator's `save_cache` after `cache_limits` happens in the order
-//!   written even while decisions are in flight; everything else is
-//!   submitted to the bounded pool without waiting for the reply (a full
-//!   queue still answers `busy` immediately — backpressure is unchanged);
+//!   without spending a queue slot; `stats`, `metrics_text` and the admin
+//!   verbs execute right here, **in stream order relative to each
+//!   other**, so an operator's `save_cache` after `cache_limits` happens
+//!   in the order written even while decisions are in flight; everything
+//!   else is submitted to the bounded pool without waiting for the reply
+//!   (a full queue still answers `busy` immediately — backpressure is
+//!   unchanged);
 //! * the **writer** (a scoped thread) receives completed responses from
 //!   the reader and from the pool workers, in completion order, and
 //!   coalesces every response ready at a wakeup into one buffered
@@ -40,10 +42,12 @@ use std::time::{Duration, Instant};
 
 use nonrec_equivalence::cache::{CacheLimits, DecisionCache};
 
-use crate::admin::{execute_admin, AdminContext};
+use crate::admin;
 use crate::json::{self, Value};
 use crate::pool::{Job, PoolConfig, WorkerPool};
-use crate::protocol::{error_response, ok_response, parse_request, request_id, Command, WireError};
+use crate::protocol::{
+    error_response, ok_response, parse_request, request_id, Command, Request, WireError,
+};
 use crate::stats::ServerStats;
 
 /// Server configuration.
@@ -88,12 +92,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn admin_context(&self) -> AdminContext {
-        AdminContext {
-            cache_file: self.cache_file.clone(),
-        }
-    }
-
     /// Apply the startup cache configuration: install limits, then warm the
     /// cache from the configured snapshot file if one exists.  Called once
     /// per server (TCP and stdio alike); failures warm-start nothing but
@@ -205,7 +203,9 @@ impl Server {
                 .name("nonrec-conn".to_string())
                 .spawn(move || {
                     let _guard = guard;
-                    let _ = handle_connection(stream, &pool, &stats, &config);
+                    let _ = serve_connection(stream, |frame, reply| {
+                        dispatch_frame(frame, reply, &pool, &stats, &config)
+                    });
                 })
                 .expect("spawn connection thread");
         }
@@ -228,7 +228,7 @@ impl Drop for ConnGuard {
 /// the bounded-queue backpressure story.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
 
-pub(crate) enum LineRead {
+enum LineRead {
     Line(String),
     /// The line exceeded the cap, but its `\n` terminator was found and
     /// consumed — the stream is back in sync, so the caller answers
@@ -244,10 +244,7 @@ pub(crate) enum LineRead {
 /// Read one `\n`-terminated line, giving up once it exceeds `max` bytes.
 /// [`LineRead::TooLongResynced`] vs [`LineRead::TooLongAbandoned`] tells
 /// the caller whether the connection is still usable.
-pub(crate) fn read_line_limited(
-    reader: &mut impl BufRead,
-    max: usize,
-) -> std::io::Result<LineRead> {
+fn read_line_limited(reader: &mut impl BufRead, max: usize) -> std::io::Result<LineRead> {
     let mut buf = Vec::new();
     loop {
         let chunk = reader.fill_buf()?;
@@ -276,11 +273,25 @@ pub(crate) fn read_line_limited(
     }
 }
 
-fn line_too_long_response(stats: &ServerStats, resynced: bool) -> Value {
-    stats.record_request();
-    // Counted like an unparseable line — a framing failure, not a verb —
-    // so no per-verb latency sample is fabricated.
-    stats.record_line_too_long();
+/// One frame of a connection's request stream, as [`serve_pipelined`]
+/// hands it to the protocol served on that connection (the server's
+/// [`dispatch_frame`] or the router's).
+pub(crate) enum Frame<'a> {
+    /// A complete, non-blank request line, without its terminator.
+    Line(&'a str),
+    /// A line over [`MAX_LINE_BYTES`].  `resynced`: its `\n` terminator
+    /// was found and consumed, so the connection stays usable; otherwise
+    /// the reader has given up and the connection closes once this
+    /// frame's answer is written.
+    TooLong {
+        /// Whether the stream is back in sync after the line.
+        resynced: bool,
+    },
+}
+
+/// The `bad_request` answer to a [`Frame::TooLong`] — one text for the
+/// server and the router alike.
+pub(crate) fn line_too_long_response(resynced: bool) -> Value {
     let detail = if resynced {
         "request line exceeds the size limit; the line was discarded"
     } else {
@@ -298,7 +309,7 @@ fn line_too_long_response(stats: &ServerStats, resynced: bool) -> Value {
 /// clone has dropped (reader done **and** no job in flight) or on the first
 /// write error, which also flags `alive` so the reader stops accepting work
 /// for a peer that is gone.
-pub(crate) fn write_loop(
+fn write_loop(
     mut writer: impl Write,
     responses: &mpsc::Receiver<String>,
     alive: &AtomicBool,
@@ -328,23 +339,21 @@ pub(crate) fn write_loop(
     }
 }
 
-/// The per-connection reader: drain request lines, answering framing errors
-/// and admin verbs in stream order and dispatching decisions to the pool
-/// without waiting.  Returns at EOF, on an abandoned over-long line, or
-/// once the writer has died.
+/// The per-connection reader: split the stream into [`Frame`]s and hand
+/// each to `handle` in stream order, with the sender its answers go to.
+/// Returns at EOF, after an abandoned over-long line, or once the writer
+/// has died.
 fn read_loop(
     reader: &mut impl BufRead,
     reply: &mpsc::Sender<String>,
     writer_alive: &AtomicBool,
-    pool: &WorkerPool,
-    stats: &ServerStats,
-    config: &ServerConfig,
+    handle: &mut impl FnMut(Frame<'_>, &mpsc::Sender<String>),
 ) -> std::io::Result<()> {
     loop {
         if !writer_alive.load(Ordering::Relaxed) {
             return Ok(());
         }
-        // Fast path: dispatch every complete line already sitting in the
+        // Fast path: hand over every complete line already sitting in the
         // reader's buffer as a borrowed slice — no per-line allocation, no
         // copy.  This is the drain that makes a deep pipelined burst cheap:
         // one `fill_buf` wakeup hands us dozens of requests.
@@ -361,19 +370,16 @@ fn read_loop(
                 // the buffer is larger than the limit; the connection stays
                 // usable either way (the terminator was seen).
                 if line_bytes.len() > MAX_LINE_BYTES {
-                    let _ = reply.send(line_too_long_response(stats, true).render());
+                    handle(Frame::TooLong { resynced: true }, reply);
                     continue;
                 }
                 match std::str::from_utf8(line_bytes) {
                     Ok(line) if line.trim().is_empty() => {}
-                    Ok(line) => dispatch_line(line, reply, pool, stats, config),
+                    Ok(line) => handle(Frame::Line(line), reply),
                     // Invalid UTF-8 takes the copying route and fails JSON
                     // parsing with the same `invalid_json` answer a lossy
                     // read would have produced.
-                    Err(_) => {
-                        let line = String::from_utf8_lossy(line_bytes).into_owned();
-                        dispatch_line(&line, reply, pool, stats, config);
-                    }
+                    Err(_) => handle(Frame::Line(&String::from_utf8_lossy(line_bytes)), reply),
                 }
             }
         }
@@ -384,59 +390,54 @@ fn read_loop(
         // No complete line in the buffer: fall back to the accumulating
         // reader, which handles lines spanning buffer refills and enforces
         // the length cap while a terminator is still outstanding.
-        let line = match read_line_limited(reader, MAX_LINE_BYTES)? {
+        match read_line_limited(reader, MAX_LINE_BYTES)? {
             LineRead::Eof => return Ok(()),
-            LineRead::TooLongResynced => {
-                let _ = reply.send(line_too_long_response(stats, true).render());
-                continue;
-            }
+            LineRead::TooLongResynced => handle(Frame::TooLong { resynced: true }, reply),
             LineRead::TooLongAbandoned => {
-                let _ = reply.send(line_too_long_response(stats, false).render());
+                handle(Frame::TooLong { resynced: false }, reply);
                 return Ok(());
             }
-            LineRead::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
+            LineRead::Line(line) if line.trim().is_empty() => {}
+            LineRead::Line(line) => handle(Frame::Line(&line), reply),
         }
-        dispatch_line(&line, reply, pool, stats, config);
     }
 }
 
 /// Run the pipelined protocol over an arbitrary reader/writer pair: the
-/// calling thread becomes the reader, a scoped thread becomes the writer,
-/// and at EOF the writer drains every in-flight response before returning.
-fn serve_pipelined<W: Write + Send>(
+/// calling thread becomes the reader, feeding every frame to `handle`; a
+/// scoped thread becomes the writer.  At EOF the writer drains every
+/// in-flight response before returning.  The one per-connection loop of
+/// both `nonrec-serve` (TCP and stdio) and `nonrec-route`.
+pub(crate) fn serve_pipelined<W: Write + Send>(
     reader: &mut impl BufRead,
     writer: W,
-    pool: &WorkerPool,
-    stats: &ServerStats,
-    config: &ServerConfig,
+    mut handle: impl FnMut(Frame<'_>, &mpsc::Sender<String>),
 ) -> std::io::Result<()> {
     let (reply, responses) = mpsc::channel::<String>();
     let writer_alive = AtomicBool::new(true);
     std::thread::scope(|scope| {
         let alive = &writer_alive;
         let writer = scope.spawn(move || write_loop(writer, &responses, alive));
-        let read_result = read_loop(reader, &reply, &writer_alive, pool, stats, config);
+        let read_result = read_loop(reader, &reply, &writer_alive, &mut handle);
         // Stop contributing responses; the writer drains until the last
-        // in-flight job (each holds a sender clone) has answered.
+        // in-flight job (each holds a sender clone) has answered.  A
+        // response for a client whose writer has died finds a closed
+        // channel and is dropped — the client is gone.
         drop(reply);
         let write_result = writer.join().expect("writer thread never panics");
         read_result.and(write_result)
     })
 }
 
-fn handle_connection(
+/// [`serve_pipelined`] over one accepted TCP connection.
+pub(crate) fn serve_connection(
     stream: TcpStream,
-    pool: &WorkerPool,
-    stats: &ServerStats,
-    config: &ServerConfig,
+    handle: impl FnMut(Frame<'_>, &mpsc::Sender<String>),
 ) -> std::io::Result<()> {
     // A large read buffer means one `fill_buf` wakeup drains a deep
     // pipelined burst in one pass of the zero-copy fast path.
     let mut reader = BufReader::with_capacity(64 * 1024, stream.try_clone()?);
-    serve_pipelined(&mut reader, stream, pool, stats, config)
+    serve_pipelined(&mut reader, stream, handle)
 }
 
 /// Serve requests from stdin to stdout (the `--stdio` mode of
@@ -448,21 +449,33 @@ pub fn serve_stdio(config: ServerConfig) -> std::io::Result<()> {
     let pool = WorkerPool::new(config.pool, Arc::clone(&stats));
     let stdin = std::io::stdin();
     let mut reader = stdin.lock();
-    serve_pipelined(&mut reader, std::io::stdout(), &pool, &stats, &config)
+    serve_pipelined(&mut reader, std::io::stdout(), |frame, reply| {
+        dispatch_frame(frame, reply, &pool, &stats, &config)
+    })
 }
 
-/// Handle one request line: framing errors, `stats`, and admin verbs are
-/// answered synchronously on this thread (preserving stream order among
-/// them); decisions are submitted to the pool, which sends the response
-/// through `reply` when done.  Exactly one response per line, always.
-fn dispatch_line(
-    line: &str,
+/// Handle one frame: framing errors, `stats`, `metrics_text` and the admin
+/// verbs are answered synchronously on this thread (preserving stream
+/// order among them); decisions go to [`dispatch_decision`].  Exactly one
+/// response per frame, always.
+fn dispatch_frame(
+    frame: Frame<'_>,
     reply: &mpsc::Sender<String>,
     pool: &WorkerPool,
     stats: &ServerStats,
     config: &ServerConfig,
 ) {
     stats.record_request();
+    let line = match frame {
+        Frame::Line(line) => line,
+        Frame::TooLong { resynced } => {
+            // Counted like an unparseable line — a framing failure, not a
+            // verb — so no per-verb latency sample is fabricated.
+            stats.record_line_too_long();
+            let _ = reply.send(line_too_long_response(resynced).render());
+            return;
+        }
+    };
     // Record *before* the memo lookup: the capture is the traffic the
     // server received, not the subset it had to compute.
     if let Some(recorder) = &config.record {
@@ -495,62 +508,55 @@ fn dispatch_line(
             return;
         }
     };
-    let id = request_id(&value);
     let request = match parse_request(&value, true) {
         Ok(request) => request,
         Err(e) => {
             stats.record_rejected_response();
-            let _ = reply.send(error_response(&id, &e).render());
+            let _ = reply.send(error_response(&request_id(&value), &e).render());
             return;
         }
     };
-    // Stats stays on the reader thread: observability must survive a
-    // saturated pool.
-    if matches!(request.command, Command::Stats) {
-        let start = Instant::now();
-        let snapshot = stats.snapshot_json(DecisionCache::global());
-        stats.record_completion("stats", start.elapsed().as_micros(), true);
-        let _ = reply.send(ok_response(&request.id, "stats", snapshot).render());
-        return;
-    }
-    // So does `metrics_text`: a scrape must survive a saturated pool too,
-    // and the per-verb histograms it renders live in this server's
-    // `ServerStats`, which the pool's engine cannot reach.
-    if matches!(request.command, Command::MetricsText) {
-        let start = Instant::now();
-        let text = crate::metrics::metrics_text(stats, DecisionCache::global());
-        stats.record_completion("metrics_text", start.elapsed().as_micros(), true);
-        let _ = reply.send(
-            ok_response(
-                &request.id,
-                "metrics_text",
-                json::obj(vec![("text", Value::str(text))]),
-            )
-            .render(),
-        );
-        return;
-    }
-    // So do the admin verbs: an operator shrinking or persisting the cache
-    // must not queue behind the load they are managing — and running them
-    // here is what gives pipelined admin verbs their in-order guarantee.
-    if request.command.is_admin() {
-        let start = Instant::now();
-        let outcome = execute_admin(&request.command, &config.admin_context())
-            .expect("is_admin and execute_admin agree on the admin verb set");
-        let verb = request.command.verb();
-        let response = match outcome {
-            Ok(result) => {
-                stats.record_completion(verb, start.elapsed().as_micros(), true);
-                ok_response(&request.id, verb, result)
-            }
-            Err(error) => {
-                stats.record_completion(verb, start.elapsed().as_micros(), false);
-                error_response(&request.id, &error)
-            }
-        };
-        let _ = reply.send(response.render());
-        return;
-    }
+    // These verbs never reach the pool.  `stats` and `metrics_text`:
+    // observability must survive a saturated pool, and the per-verb
+    // histograms live in this server's `ServerStats`, which the pool's
+    // engine cannot reach.  The admin verbs: an operator shrinking or
+    // persisting the cache must not queue behind the load they are
+    // managing — and running them here is what gives pipelined admin
+    // verbs their in-order guarantee.
+    let start = Instant::now();
+    let cache = DecisionCache::global();
+    let cache_file = config.cache_file.as_deref();
+    let outcome = match &request.command {
+        Command::Stats => Ok(stats.snapshot_json(cache)),
+        Command::MetricsText => Ok(json::obj(vec![(
+            "text",
+            Value::str(crate::metrics::metrics_text(stats, cache)),
+        )])),
+        Command::ClearCache => Ok(admin::clear_cache(cache)),
+        Command::CacheLimits { set } => Ok(admin::cache_limits(cache, *set)),
+        Command::SaveCache { path } => admin::save_cache(cache, path, cache_file),
+        Command::LoadCache { path } => admin::load_cache(cache, path, cache_file),
+        _ => return dispatch_decision(line, request, reply, pool, stats, config),
+    };
+    let verb = request.command.verb();
+    stats.record_completion(verb, start.elapsed().as_micros(), outcome.is_ok());
+    let response = match outcome {
+        Ok(result) => ok_response(&request.id, verb, result),
+        Err(error) => error_response(&request.id, &error),
+    };
+    let _ = reply.send(response.render());
+}
+
+/// Answer a decision request from the command-keyed memo, or submit it to
+/// the pool, which sends the response through `reply` when done.
+fn dispatch_decision(
+    line: &str,
+    request: Request,
+    reply: &mpsc::Sender<String>,
+    pool: &WorkerPool,
+    stats: &ServerStats,
+    config: &ServerConfig,
+) {
     // Repeats of pure decision requests that differ only in framing (a new
     // id, re-ordered fields) still hit the command-keyed response memo
     // right here on the reader thread: no pool dispatch, no re-parse of
@@ -579,7 +585,7 @@ fn dispatch_line(
         .map(Duration::from_millis)
         .or(config.default_deadline)
         .map(|timeout| Instant::now() + timeout);
-    if let Err(_job) = pool.submit(Job {
+    if let Err(job) = pool.submit(Job {
         line: memo_key.as_ref().map(|_| line.to_string()),
         request,
         deadline,
@@ -589,7 +595,7 @@ fn dispatch_line(
         stats.record_busy();
         let _ = reply.send(
             error_response(
-                &id,
+                &job.request.id,
                 &WireError::new(
                     "busy",
                     "request queue is full; retry later or reduce concurrency",
@@ -602,7 +608,7 @@ fn dispatch_line(
 
 /// Handle one request line end to end, blocking until its response is
 /// ready; always returns exactly one single-line response.  The one-shot
-/// wrapper around [`dispatch_line`] the unit tests drive.
+/// wrapper around [`dispatch_frame`] the unit tests drive.
 #[cfg(test)]
 fn process_line(
     line: &str,
@@ -611,7 +617,7 @@ fn process_line(
     config: &ServerConfig,
 ) -> String {
     let (reply, receive) = mpsc::channel();
-    dispatch_line(line, &reply, pool, stats, config);
+    dispatch_frame(Frame::Line(line), &reply, pool, stats, config);
     drop(reply);
     match receive.recv() {
         Ok(response) => response,

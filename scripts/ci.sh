@@ -20,9 +20,10 @@
 #                  right and the 10% phase-sum gate holds — so a change that
 #                  breaks the benchmark's imports, or makes `core.decide`
 #                  drift from the benchmark's rebuilt decision, fails here,
-#                  not in a benchmark run); then a 5-s end-to-end
-#                  `perfbench/run.sh` smoke run of `cold_mix` against the
-#                  served binaries, which must print `"correct": true`
+#                  not in a benchmark run); then one 5-s end-to-end
+#                  `perfbench/run.sh` smoke run per workload (`cold_mix`,
+#                  `warm_zipf`, `warm_routed`) against the served
+#                  binaries, each of which must print `"correct": true`
 #     test         cargo test -q
 #     soak         NONREC_SOAK_FAST=1 cargo test --release --test server_soak
 #                  (bounded-cache server under 4-client eviction churn:
@@ -85,10 +86,13 @@ stage_build() {
 
 stage_perfbench() {
     cargo test --release --offline --manifest-path perfbench/Cargo.toml || return 1
-    local out
-    out=$(bash perfbench/run.sh --workload cold_mix --seed 601 --seconds 5 --trace 0) || return 1
-    echo "$out"
-    grep -q '"correct": true' <<<"$out"
+    local workload out
+    for workload in cold_mix warm_zipf warm_routed; do
+        echo "-- perfbench smoke: $workload"
+        out=$(bash perfbench/run.sh --workload "$workload" --seed 601 --seconds 5 --trace 0) || return 1
+        echo "$out"
+        grep -q '"correct": true' <<<"$out" || return 1
+    done
 }
 
 stage_test() {

@@ -36,7 +36,7 @@
 //! * the routed phases must forward on **both** shards, pass no `busy`
 //!   through, and requeue nothing (no shard died);
 //! * the churn phase must actually evict, must stay within its cap, and
-//!   must keep the hot set's hit rate up (cost-aware LRU doing its job);
+//!   must keep the hot set's hit rate up (LRU eviction doing its job);
 //! * the skewed workload must be *more* cache-amortisable than the uniform
 //!   one (hot-rank hit rate strictly above the uniform baseline), neither
 //!   variant may shed load (`busy` stays zero under the bursts), and two

@@ -32,22 +32,19 @@
 //!
 //! A long-running server answers an unbounded keyspace of (program, goal,
 //! query, options) requests, so an unbounded memo eventually exhausts
-//! memory.  [`CacheLimits`] caps each of the three segments independently;
-//! when a segment overflows its cap, a **cost-aware LRU** sweep evicts a
-//! batch of entries: victims are drawn from the least-recently-used half of
-//! the overflowing segment, largest witness payloads first (a cached
-//! counterexample — proof tree, expansion, canonical database — dwarfs a
-//! boolean verdict, so it is the memory that must go first).  Eviction
-//! never changes a verdict — an evicted entry is simply recomputed on the
-//! next miss — which `tests/cache_eviction_differential.rs` locks over
-//! generated instances.  [`CacheStats`] counts evictions per segment.
+//! memory.  [`CacheLimits`] caps each of the three segments independently.
+//! Every segment is an exact least-recently-used [`Lru`]: a store of a new
+//! key into a full segment evicts that segment's least recently used entry,
+//! so an overflowing segment holds exactly its cap.  Eviction never changes
+//! a verdict — an evicted entry is simply recomputed on the next miss —
+//! which `tests/cache_eviction_differential.rs` locks over generated
+//! instances.  [`CacheStats`] counts evictions per segment.
 //!
 //! [`CacheStats`] also exposes hit/miss counts and the product-pair work
 //! spent (on misses) versus recalled (on hits), which the benches report.
 //! The whole cache can be snapshotted to a versioned byte format and
 //! reloaded (warm start) — see [`crate::snapshot`].
 
-use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use cq::canonical::{CqKey, UcqKey};
@@ -56,6 +53,7 @@ use datalog::atom::Pred;
 use datalog::program::Program;
 
 use crate::containment::{ContainmentResult, DecisionOptions};
+use crate::lru::Lru;
 
 /// Structural cache key of a Datalog program: the canonical key of each
 /// rule (read as a conjunctive query), in rule order.  Two programs with
@@ -198,174 +196,63 @@ impl CacheSizes {
     }
 }
 
-/// One memoised value plus the bookkeeping eviction needs: a recency stamp
-/// (a logical tick, bumped on every store and every hit) and a payload-size
-/// estimate used to pick large witnesses first.
-#[derive(Debug)]
-struct Entry<V> {
-    value: V,
-    last_used: u64,
-    cost: u32,
-}
-
-/// Payload-size estimate of a stored decision, in "structure nodes".  A
-/// bare verdict costs 1; a counterexample adds its proof-tree nodes, its
-/// expansion atoms, and its canonical-database facts — the parts whose
-/// memory footprint dominates the cache.
-fn witness_cost(result: &ContainmentResult) -> u32 {
-    let mut cost = 1usize;
-    if let Some(cex) = &result.counterexample {
-        cost += cex.proof_tree.size() + cex.expansion.body.len() + cex.database.len();
-    }
-    cost.min(u32::MAX as usize) as u32
-}
-
-#[derive(Default)]
 struct Inner {
-    decisions: HashMap<DecisionKey, Entry<ContainmentResult>>,
-    /// `θ → ψ → (θ ⊆ ψ)`.  Nested so hit-path lookups borrow the keys
-    /// instead of cloning them into a composite key.
-    cq_pairs: HashMap<CqKey, HashMap<CqKey, Entry<bool>>>,
-    /// `Π → goal → θ → (θ ⊆ Π(goal))`, nested for the same reason — the
-    /// program key in particular is expensive to clone per lookup.
-    cq_in_program: HashMap<ProgramKey, HashMap<Pred, HashMap<CqKey, Entry<bool>>>>,
+    decisions: Lru<DecisionKey, ContainmentResult>,
+    /// `(θ, ψ) → (θ ⊆ ψ)`.
+    cq_pairs: Lru<(CqKey, CqKey), bool>,
+    /// `(Π, goal, θ) → (θ ⊆ Π(goal))`.
+    cq_in_program: Lru<(ProgramKey, Pred, CqKey), bool>,
+    /// Hit, miss and pair counters; the eviction counts live in the
+    /// segments.
     stats: CacheStats,
-    limits: CacheLimits,
-    /// Logical clock for LRU recency (monotone per cache).
-    tick: u64,
-}
-
-/// When a segment overflows its cap, evict down to `cap - cap/8` in one
-/// batch (bounded below by one retained entry for any nonzero cap — a cap
-/// of 1 must hold one entry, only `Some(0)` means "cache nothing"), so the
-/// O(n log n) victim scan amortises to O(log n) per store instead of
-/// running on every insert at the boundary.
-fn evict_target(cap: usize) -> usize {
-    if cap == 0 {
-        0
-    } else {
-        (cap - (cap / 8).max(1).min(cap)).max(1)
-    }
 }
 
 impl Inner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Enforce the decision-segment cap.  Victims come from the
-    /// least-recently-used half of the candidates, **largest witness
-    /// payloads first** — recency protects the hot set, cost decides among
-    /// the cold.
-    ///
-    /// Recency ticks are unique per entry (one logical clock per cache),
-    /// so the sweep selects victims as a set of ticks and removes them
-    /// with one `retain` pass — no key is ever cloned for bookkeeping.
-    fn enforce_decisions(&mut self) {
-        let Some(cap) = self.limits.max_decisions else {
-            return;
-        };
-        if self.decisions.len() <= cap {
-            return;
+    fn limits(&self) -> CacheLimits {
+        CacheLimits {
+            max_decisions: self.decisions.cap(),
+            max_cq_pairs: self.cq_pairs.cap(),
+            max_cq_in_program: self.cq_in_program.cap(),
         }
-        let need = self.decisions.len() - evict_target(cap);
-        let mut candidates: Vec<(u64, u32)> = self
-            .decisions
-            .values()
-            .map(|entry| (entry.last_used, entry.cost))
-            .collect();
-        candidates.sort_by_key(|(last_used, _)| *last_used);
-        // Keep only the coldest half (but at least `need`) as the victim
-        // pool, then order that pool by descending cost.
-        let pool = need.max(candidates.len() / 2).min(candidates.len());
-        candidates.truncate(pool);
-        candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let victims: std::collections::HashSet<u64> =
-            candidates.into_iter().take(need).map(|(t, _)| t).collect();
-        self.decisions
-            .retain(|_, entry| !victims.contains(&entry.last_used));
-        self.stats.evicted_decisions += victims.len() as u64;
     }
 
-    /// The `need` oldest recency ticks of `ticks` (pure LRU victim set).
-    fn oldest(mut ticks: Vec<u64>, need: usize) -> std::collections::HashSet<u64> {
-        let need = need.min(ticks.len());
-        let pivot = need.saturating_sub(1).min(ticks.len().saturating_sub(1));
-        ticks.select_nth_unstable(pivot);
-        ticks.truncate(need);
-        ticks.into_iter().collect()
-    }
-
-    /// Enforce the CQ-pair cap (pure LRU: all entries cost the same).
-    fn enforce_cq_pairs(&mut self) {
-        let Some(cap) = self.limits.max_cq_pairs else {
-            return;
-        };
-        let len: usize = self.cq_pairs.values().map(HashMap::len).sum();
-        if len <= cap {
-            return;
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            evicted_decisions: self.decisions.evictions(),
+            evicted_cq_pairs: self.cq_pairs.evictions(),
+            evicted_cq_in_program: self.cq_in_program.evictions(),
+            ..self.stats
         }
-        let need = len - evict_target(cap);
-        let victims = Inner::oldest(
-            self.cq_pairs
-                .values()
-                .flat_map(HashMap::values)
-                .map(|entry| entry.last_used)
-                .collect(),
-            need,
-        );
-        self.cq_pairs.retain(|_, by_psi| {
-            by_psi.retain(|_, entry| !victims.contains(&entry.last_used));
-            !by_psi.is_empty()
-        });
-        self.stats.evicted_cq_pairs += victims.len() as u64;
     }
 
-    /// Enforce the canonical-database cap (pure LRU).
-    fn enforce_cq_in_program(&mut self) {
-        let Some(cap) = self.limits.max_cq_in_program else {
-            return;
-        };
-        let len: usize = self
-            .cq_in_program
-            .values()
-            .flat_map(HashMap::values)
-            .map(HashMap::len)
-            .sum();
-        if len <= cap {
-            return;
+    /// Run a segment lookup, counting a hit when it answers and a miss
+    /// when it does not.
+    fn recall<T>(&mut self, lookup: impl FnOnce(&mut Inner) -> Option<T>) -> Option<T> {
+        let found = lookup(self);
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
-        let need = len - evict_target(cap);
-        let victims = Inner::oldest(
-            self.cq_in_program
-                .values()
-                .flat_map(HashMap::values)
-                .flat_map(HashMap::values)
-                .map(|entry| entry.last_used)
-                .collect(),
-            need,
-        );
-        self.cq_in_program.retain(|_, by_goal| {
-            by_goal.retain(|_, by_theta| {
-                by_theta.retain(|_, entry| !victims.contains(&entry.last_used));
-                !by_theta.is_empty()
-            });
-            !by_goal.is_empty()
-        });
-        self.stats.evicted_cq_in_program += victims.len() as u64;
+        found
     }
 
     fn sizes(&self) -> CacheSizes {
         CacheSizes {
             decisions: self.decisions.len(),
-            cq_pairs: self.cq_pairs.values().map(HashMap::len).sum(),
-            cq_in_program: self
-                .cq_in_program
-                .values()
-                .flat_map(HashMap::values)
-                .map(HashMap::len)
-                .sum(),
+            cq_pairs: self.cq_pairs.len(),
+            cq_in_program: self.cq_in_program.len(),
+        }
+    }
+}
+
+impl Default for Inner {
+    fn default() -> Inner {
+        Inner {
+            decisions: Lru::new(None),
+            cq_pairs: Lru::new(None),
+            cq_in_program: Lru::new(None),
+            stats: CacheStats::default(),
         }
     }
 }
@@ -415,12 +302,12 @@ impl DecisionCache {
 
     /// A snapshot of the statistics.
     pub fn stats(&self) -> CacheStats {
-        self.lock().stats
+        self.lock().stats()
     }
 
     /// The configured per-segment limits.
     pub fn limits(&self) -> CacheLimits {
-        self.lock().limits
+        self.lock().limits()
     }
 
     /// Install new per-segment limits and enforce them immediately:
@@ -429,13 +316,9 @@ impl DecisionCache {
     /// for the next store.
     pub fn set_limits(&self, limits: CacheLimits) {
         let mut inner = self.lock();
-        if inner.limits == limits {
-            return;
-        }
-        inner.limits = limits;
-        inner.enforce_decisions();
-        inner.enforce_cq_pairs();
-        inner.enforce_cq_in_program();
+        inner.decisions.set_cap(limits.max_decisions);
+        inner.cq_pairs.set_cap(limits.max_cq_pairs);
+        inner.cq_in_program.set_cap(limits.max_cq_in_program);
     }
 
     /// Number of memoised entries across all three maps.
@@ -463,11 +346,10 @@ impl DecisionCache {
     pub fn clear(&self) -> CacheSizes {
         let mut inner = self.lock();
         let dropped = inner.sizes();
-        let limits = inner.limits;
-        *inner = Inner {
-            limits,
-            ..Inner::default()
-        };
+        inner.decisions.clear();
+        inner.cq_pairs.clear();
+        inner.cq_in_program.clear();
+        inner.stats = CacheStats::default();
         dropped
     }
 
@@ -475,20 +357,9 @@ impl DecisionCache {
     /// entry's LRU recency.
     pub fn lookup_decision(&self, key: &DecisionKey) -> Option<ContainmentResult> {
         let mut inner = self.lock();
-        let tick = inner.next_tick();
-        match inner.decisions.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let result = entry.value.clone();
-                inner.stats.hits += 1;
-                inner.stats.pairs_saved += result.stats.explored as u64;
-                Some(result)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
-        }
+        let result = inner.recall(|inner| inner.decisions.get(key).cloned())?;
+        inner.stats.pairs_saved += result.stats.explored as u64;
+        Some(result)
     }
 
     /// Count a recall that a layer **above** this cache answered from its
@@ -502,21 +373,12 @@ impl DecisionCache {
         self.lock().stats.hits += 1;
     }
 
-    /// Store a freshly computed full decision, evicting if the segment
-    /// overflows its cap.
+    /// Store a freshly computed full decision, evicting the least recently
+    /// used one if the segment is full.
     pub fn store_decision(&self, key: DecisionKey, result: &ContainmentResult) {
         let mut inner = self.lock();
-        let tick = inner.next_tick();
         inner.stats.pairs_explored += result.stats.explored as u64;
-        inner.decisions.insert(
-            key,
-            Entry {
-                cost: witness_cost(result),
-                value: result.clone(),
-                last_used: tick,
-            },
-        );
-        inner.enforce_decisions();
+        inner.decisions.insert(key, result.clone());
     }
 
     /// Memoised `θ ⊆ ψ` (conjunctive-query containment).  Returns the
@@ -528,35 +390,17 @@ impl DecisionCache {
     /// As [`DecisionCache::cq_contained`], but keyed on precomputed
     /// [`CqKey`]s so quadratic passes canonicalise each query once.
     pub fn cq_contained_keyed(&self, theta: &CqKey, psi: &CqKey) -> (bool, bool) {
+        let key = (theta.clone(), psi.clone());
+        if let Some(verdict) = self
+            .lock()
+            .recall(|inner| inner.cq_pairs.get(&key).copied())
         {
-            let mut inner = self.lock();
-            let tick = inner.next_tick();
-            if let Some(entry) = inner
-                .cq_pairs
-                .get_mut(theta)
-                .and_then(|by_psi| by_psi.get_mut(psi))
-            {
-                entry.last_used = tick;
-                let verdict = entry.value;
-                inner.stats.hits += 1;
-                return (verdict, true);
-            }
-            inner.stats.misses += 1;
+            return (verdict, true);
         }
         // Compute outside the lock: containment is invariant under
         // canonicalisation, so the canonical forms inside the keys suffice.
         let verdict = cq::containment::cq_contained_in(theta.as_query(), psi.as_query());
-        let mut inner = self.lock();
-        let tick = inner.next_tick();
-        inner.cq_pairs.entry(theta.clone()).or_default().insert(
-            psi.clone(),
-            Entry {
-                value: verdict,
-                last_used: tick,
-                cost: 1,
-            },
-        );
-        inner.enforce_cq_pairs();
+        self.lock().cq_pairs.insert(key, verdict);
         (verdict, false)
     }
 
@@ -570,40 +414,15 @@ impl DecisionCache {
         theta: &CqKey,
         compute: impl FnOnce() -> bool,
     ) -> (bool, bool) {
+        let key = (program.clone(), goal, theta.clone());
+        if let Some(verdict) = self
+            .lock()
+            .recall(|inner| inner.cq_in_program.get(&key).copied())
         {
-            let mut inner = self.lock();
-            let tick = inner.next_tick();
-            if let Some(entry) = inner
-                .cq_in_program
-                .get_mut(program)
-                .and_then(|by_goal| by_goal.get_mut(&goal))
-                .and_then(|by_theta| by_theta.get_mut(theta))
-            {
-                entry.last_used = tick;
-                let verdict = entry.value;
-                inner.stats.hits += 1;
-                return (verdict, true);
-            }
-            inner.stats.misses += 1;
+            return (verdict, true);
         }
         let verdict = compute();
-        let mut inner = self.lock();
-        let tick = inner.next_tick();
-        inner
-            .cq_in_program
-            .entry(program.clone())
-            .or_default()
-            .entry(goal)
-            .or_default()
-            .insert(
-                theta.clone(),
-                Entry {
-                    value: verdict,
-                    last_used: tick,
-                    cost: 1,
-                },
-            );
-        inner.enforce_cq_in_program();
+        self.lock().cq_in_program.insert(key, verdict);
         (verdict, false)
     }
 
@@ -615,26 +434,18 @@ impl DecisionCache {
             decisions: inner
                 .decisions
                 .iter()
-                .map(|(key, entry)| (key.clone(), entry.value.clone()))
+                .map(|(key, result)| (key.clone(), result.clone()))
                 .collect(),
             cq_pairs: inner
                 .cq_pairs
                 .iter()
-                .flat_map(|(theta, by_psi)| {
-                    by_psi
-                        .iter()
-                        .map(move |(psi, entry)| (theta.clone(), psi.clone(), entry.value))
-                })
+                .map(|((theta, psi), &verdict)| (theta.clone(), psi.clone(), verdict))
                 .collect(),
             cq_in_program: inner
                 .cq_in_program
                 .iter()
-                .flat_map(|(program, by_goal)| {
-                    by_goal.iter().flat_map(move |(goal, by_theta)| {
-                        by_theta.iter().map(move |(theta, entry)| {
-                            (program.clone(), *goal, theta.clone(), entry.value)
-                        })
-                    })
+                .map(|((program, goal, theta), &verdict)| {
+                    (program.clone(), *goal, theta.clone(), verdict)
                 })
                 .collect(),
         }
@@ -642,86 +453,30 @@ impl DecisionCache {
 
     /// Merge decoded snapshot entries into the cache (the loader's commit
     /// step).  Existing entries win — a live entry is at least as fresh as
-    /// a persisted one — and limits are enforced afterwards, so loading a
-    /// snapshot larger than the caps simply warms the freshest slice.
-    /// Hit/miss statistics are untouched: counters describe *this*
-    /// process's traffic.  Returns how many entries were actually added.
+    /// a persisted one — and every imported entry ranks below every live
+    /// one, so loading a snapshot larger than the caps sheds the
+    /// snapshot's surplus, never the live hot set.  Within one segment the
+    /// later entries in snapshot order rank higher, so they are the slice
+    /// that stays.  Hit/miss statistics are untouched: counters describe
+    /// *this* process's traffic.  Returns how many entries were added.
     pub(crate) fn import_entries(&self, entries: ExportedEntries) -> CacheSizes {
         let mut added = CacheSizes::default();
         let mut inner = self.lock();
-        // Imported entries must rank as *older* than everything live: a
-        // hot working set being served right now beats whatever a snapshot
-        // remembers, and the post-merge enforcement below must shed the
-        // snapshot's surplus first — not the live hot set.  Ticks stay
-        // unique (the eviction sweeps identify victims by tick): live
-        // entries are shifted up by the import budget, and imported
-        // entries take the freed range `1..=shift` in snapshot order.
-        let shift =
-            (entries.decisions.len() + entries.cq_pairs.len() + entries.cq_in_program.len()) as u64;
-        if shift > 0 {
-            for entry in inner.decisions.values_mut() {
-                entry.last_used += shift;
-            }
-            for by_psi in inner.cq_pairs.values_mut() {
-                for entry in by_psi.values_mut() {
-                    entry.last_used += shift;
-                }
-            }
-            for by_goal in inner.cq_in_program.values_mut() {
-                for by_theta in by_goal.values_mut() {
-                    for entry in by_theta.values_mut() {
-                        entry.last_used += shift;
-                    }
-                }
-            }
-            inner.tick += shift;
+        // Each below-live insert ranks under the previous one, so walking
+        // a segment backwards leaves its first entry the least recent.
+        for (key, result) in entries.decisions.into_iter().rev() {
+            added.decisions += usize::from(inner.decisions.insert_below(key, result));
         }
-        let mut import_tick = 0u64;
-        for (key, result) in entries.decisions {
-            import_tick += 1;
-            if let std::collections::hash_map::Entry::Vacant(slot) = inner.decisions.entry(key) {
-                slot.insert(Entry {
-                    cost: witness_cost(&result),
-                    value: result,
-                    last_used: import_tick,
-                });
-                added.decisions += 1;
-            }
+        for (theta, psi, verdict) in entries.cq_pairs.into_iter().rev() {
+            added.cq_pairs += usize::from(inner.cq_pairs.insert_below((theta, psi), verdict));
         }
-        for (theta, psi, verdict) in entries.cq_pairs {
-            import_tick += 1;
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                inner.cq_pairs.entry(theta).or_default().entry(psi)
-            {
-                slot.insert(Entry {
-                    value: verdict,
-                    last_used: import_tick,
-                    cost: 1,
-                });
-                added.cq_pairs += 1;
-            }
+        for (program, goal, theta, verdict) in entries.cq_in_program.into_iter().rev() {
+            added.cq_in_program += usize::from(
+                inner
+                    .cq_in_program
+                    .insert_below((program, goal, theta), verdict),
+            );
         }
-        for (program, goal, theta, verdict) in entries.cq_in_program {
-            import_tick += 1;
-            if let std::collections::hash_map::Entry::Vacant(slot) = inner
-                .cq_in_program
-                .entry(program)
-                .or_default()
-                .entry(goal)
-                .or_default()
-                .entry(theta)
-            {
-                slot.insert(Entry {
-                    value: verdict,
-                    last_used: import_tick,
-                    cost: 1,
-                });
-                added.cq_in_program += 1;
-            }
-        }
-        inner.enforce_decisions();
-        inner.enforce_cq_pairs();
-        inner.enforce_cq_in_program();
         added
     }
 
@@ -831,7 +586,8 @@ mod tests {
             stats.evicted_cq_pairs > 0,
             "cap 4 under 7 inserts must evict"
         );
-        assert!(cache.sizes().cq_pairs <= 4);
+        assert_eq!(cache.sizes().cq_pairs, 4);
+        assert_eq!(stats.evicted_cq_pairs, 3);
         // The most recent insert survives; the oldest is gone (a re-query
         // recomputes, i.e. misses).
         let (_, hit_newest) = cache.cq_contained_keyed(keys.last().unwrap(), &psi);
@@ -857,7 +613,56 @@ mod tests {
             assert!(hit, "hot entry evicted after {n} cold inserts");
         }
         assert!(cache.stats().evicted_cq_pairs > 0);
-        assert!(cache.sizes().cq_pairs <= 8);
+        assert_eq!(cache.sizes().cq_pairs, 8);
+    }
+
+    #[test]
+    fn decision_segment_keeps_a_hot_decision_and_fills_exactly_its_cap() {
+        use crate::containment::datalog_contained_in_ucq_in;
+        const CAP: usize = 4;
+        let cache = DecisionCache::with_limits(CacheLimits {
+            max_decisions: Some(CAP),
+            ..CacheLimits::default()
+        });
+        let instance = |e: &str| {
+            (
+                parse_program(&format!(
+                    "p(X, Y) :- {e}(X, Z), p(Z, Y).\np(X, Y) :- {e}(X, Y)."
+                ))
+                .unwrap(),
+                cq::Ucq::parse(&format!("q(X, Y) :- {e}(X, Y).")).unwrap(),
+            )
+        };
+        let decide = |e: &str| {
+            let (program, ucq) = instance(e);
+            let options = DecisionOptions::default();
+            datalog_contained_in_ucq_in(
+                &cache,
+                &program,
+                Pred::new("p"),
+                &ucq,
+                options,
+                &mut metrics::NoMetrics,
+            )
+            .unwrap();
+        };
+        let (program, ucq) = instance("hot");
+        let hot = DecisionKey::new(&program, Pred::new("p"), &ucq, DecisionOptions::default());
+        decide("hot");
+        let churn = 3 * CAP;
+        for n in 0..churn {
+            decide(&format!("cold{n}"));
+            assert!(
+                cache.lookup_decision(&hot).is_some(),
+                "hot decision evicted after {n} cold decisions"
+            );
+        }
+        assert_eq!(cache.sizes().decisions, CAP, "an overflow evicts one entry");
+        assert_eq!(
+            cache.stats().evicted_decisions,
+            (1 + churn - CAP) as u64,
+            "one eviction per store past the cap"
+        );
     }
 
     #[test]
@@ -889,10 +694,10 @@ mod tests {
             max_cq_pairs: Some(4),
             ..CacheLimits::default()
         });
-        assert!(cache.sizes().cq_pairs <= 4);
-        assert!(cache.stats().evicted_cq_pairs >= 6);
+        assert_eq!(cache.sizes().cq_pairs, 4);
+        assert_eq!(cache.stats().evicted_cq_pairs, 6);
         let dropped = cache.clear();
-        assert!(dropped.cq_pairs <= 4);
+        assert_eq!(dropped.cq_pairs, 4);
         assert_eq!(
             cache.limits(),
             CacheLimits {

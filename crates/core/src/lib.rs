@@ -71,6 +71,7 @@ pub mod cq_in_datalog;
 pub mod equivalence;
 pub mod expansion;
 pub mod labels;
+pub mod lru;
 pub mod optimize;
 pub mod proof_tree;
 pub mod properties;

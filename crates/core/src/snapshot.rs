@@ -30,8 +30,9 @@
 //! migrated.
 //!
 //! What is *not* persisted: [`crate::cache::CacheStats`] (counters describe
-//! one process's traffic), LRU recency (a loaded entry is as good as fresh),
-//! and [`crate::cache::CacheLimits`] (runtime configuration, not data).
+//! one process's traffic), LRU recency (loaded entries rank below every live
+//! one), and [`crate::cache::CacheLimits`] (runtime configuration, not
+//! data).
 //!
 //! # Safety properties
 //!

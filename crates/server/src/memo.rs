@@ -32,17 +32,19 @@
 //!   abort may succeed on retry with different load).
 //!
 //! The memo is process-global (like the `DecisionCache` it fronts),
-//! bounded to [`MEMO_CAP`] entries with least-recently-used eviction, and
-//! cleared by the `clear_cache` admin verb so "forget everything" keeps
-//! meaning what it says.
+//! bounded to [`MEMO_CAP`] entries by the same least-recently-used
+//! [`Lru`] that bounds the `DecisionCache` segments, and cleared by the
+//! `clear_cache` admin verb so "forget everything" keeps meaning what it
+//! says.
 //!
 //! In front of it sits a second, even earlier layer — the [`LineMemo`] —
 //! which answers *byte-identical request lines* before the JSON frame is
 //! parsed at all; see its docs for why that inherits this module's
 //! soundness argument.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+use nonrec_equivalence::lru::Lru;
 
 use crate::json::Value;
 use crate::protocol::Command;
@@ -84,79 +86,23 @@ pub fn memo_key(command: &Command) -> Option<String> {
     Some(format!("{command:?}"))
 }
 
-/// A string-keyed map bounded to [`MEMO_CAP`] entries with
-/// least-recently-used eviction, shared by both memos.  A recency index
-/// (tick → key) finds the eviction victim in O(log n), so a store costs the
-/// same whether or not the memo is full.  A linear minimum search over a
-/// full memo cost 10–36 µs per store on a 2-core Xeon, and every warm line
-/// pays a store because [`LineMemo`] stores each answered line.
-struct Lru<V> {
-    /// Keys are shared with `recency`, so each is stored once.
-    entries: HashMap<Arc<str>, (V, u64)>,
-    recency: BTreeMap<u64, Arc<str>>,
-    tick: u64,
-}
-
-impl<V> Default for Lru<V> {
-    fn default() -> Self {
-        Lru {
-            entries: HashMap::new(),
-            recency: BTreeMap::new(),
-            tick: 0,
-        }
-    }
-}
-
-impl<V> Lru<V> {
-    /// The value stored under `key`, now the most recently used.
-    fn get(&mut self, key: &str) -> Option<&V> {
-        let (value, last_used) = self.entries.get_mut(key)?;
-        self.tick += 1;
-        let key = self
-            .recency
-            .remove(last_used)
-            .expect("every entry has a recency slot");
-        *last_used = self.tick;
-        self.recency.insert(self.tick, key);
-        Some(value)
-    }
-
-    /// Store `value` under `key` as the most recently used entry, evicting
-    /// the least recently used one when a new key would overflow the cap.
-    fn insert(&mut self, key: String, value: V) {
-        self.tick += 1;
-        if let Some((_, last_used)) = self.entries.get(key.as_str()) {
-            self.recency.remove(last_used);
-        } else if self.entries.len() >= MEMO_CAP {
-            if let Some((_, oldest)) = self.recency.pop_first() {
-                self.entries.remove(&oldest);
-            }
-        }
-        let key: Arc<str> = key.into();
-        self.recency.insert(self.tick, Arc::clone(&key));
-        self.entries.insert(key, (value, self.tick));
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.recency.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// The bounded text-level result cache.  See the module docs.
-#[derive(Default)]
 pub struct ResponseMemo {
-    inner: Mutex<Lru<Value>>,
+    inner: Mutex<Lru<str, Value>>,
+}
+
+impl Default for ResponseMemo {
+    fn default() -> ResponseMemo {
+        ResponseMemo::new()
+    }
 }
 
 impl ResponseMemo {
     /// A fresh, empty memo (tests; the server uses [`ResponseMemo::global`]).
     pub fn new() -> ResponseMemo {
-        ResponseMemo::default()
+        ResponseMemo {
+            inner: Mutex::new(Lru::new(Some(MEMO_CAP))),
+        }
     }
 
     /// The process-wide memo every connection of every in-process server
@@ -166,7 +112,7 @@ impl ResponseMemo {
         GLOBAL.get_or_init(ResponseMemo::new)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<Value>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<str, Value>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -228,15 +174,22 @@ impl ResponseMemo {
 /// three runs.  On unique-id traffic (the repository benchmark's
 /// `warm_zipf` and `warm_routed`) it never hits, and each answered line
 /// costs a store.
-#[derive(Default)]
 pub struct LineMemo {
-    inner: Mutex<Lru<(&'static str, String)>>,
+    inner: Mutex<Lru<str, (&'static str, String)>>,
+}
+
+impl Default for LineMemo {
+    fn default() -> LineMemo {
+        LineMemo::new()
+    }
 }
 
 impl LineMemo {
     /// A fresh, empty memo (tests; the server uses [`LineMemo::global`]).
     pub fn new() -> LineMemo {
-        LineMemo::default()
+        LineMemo {
+            inner: Mutex::new(Lru::new(Some(MEMO_CAP))),
+        }
     }
 
     /// The process-wide instance, mirroring [`ResponseMemo::global`].
@@ -245,7 +198,7 @@ impl LineMemo {
         GLOBAL.get_or_init(LineMemo::new)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<(&'static str, String)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<str, (&'static str, String)>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -379,41 +332,24 @@ mod tests {
         assert!(memo.is_empty());
 
         let memo = LineMemo::new();
-        for i in 0..MEMO_CAP {
+        for i in 0..=MEMO_CAP {
             memo.store(format!("line{i}"), "bounded", format!("resp{i}"));
         }
-        assert!(memo.lookup("line0").is_some());
-        memo.store("overflow".into(), "bounded", "resp".into());
-        assert_eq!(memo.len(), MEMO_CAP);
-        assert!(memo.lookup("line0").is_some(), "recently used must survive");
-        assert!(
-            memo.lookup("line1").is_none(),
-            "the least recently used entry is the one evicted"
-        );
+        assert_eq!(memo.len(), MEMO_CAP, "the memo is bounded to MEMO_CAP");
+        assert!(memo.lookup(&format!("line{MEMO_CAP}")).is_some());
     }
 
     #[test]
     fn lru_eviction_keeps_recently_used_entries() {
         let memo = ResponseMemo::new();
-        for i in 0..MEMO_CAP {
+        for i in 0..=MEMO_CAP {
             memo.store(format!("k{i}"), &Value::num(i as f64));
         }
-        assert_eq!(memo.len(), MEMO_CAP);
-        // Touch k0 so it is the most recently used, then overflow.
-        assert!(memo.lookup("k0").is_some());
-        memo.store("overflow".into(), &Value::Null);
-        assert_eq!(memo.len(), MEMO_CAP);
-        assert!(memo.lookup("k0").is_some(), "recently used must survive");
-        assert!(
-            memo.lookup("k1").is_none(),
-            "the least recently used entry is the one evicted"
+        assert_eq!(memo.len(), MEMO_CAP, "the memo is bounded to MEMO_CAP");
+        assert_eq!(
+            memo.lookup(&format!("k{MEMO_CAP}")),
+            Some(Value::num(MEMO_CAP as f64))
         );
-        // Re-storing a key refreshes it without growing the memo.
-        memo.store("k2".into(), &Value::Null);
-        assert_eq!(memo.len(), MEMO_CAP);
-        memo.store("overflow2".into(), &Value::Null);
-        assert_eq!(memo.lookup("k2"), Some(Value::Null));
-        assert!(memo.lookup("k3").is_none());
         memo.clear();
         assert!(memo.is_empty());
     }

@@ -280,17 +280,15 @@ fn swap_id(value: &mut Value, new_id: Value) -> Option<Value> {
 /// Route one frame: answer `stats`, over-long lines and malformed input
 /// locally, reject admin verbs, forward everything else to a shard.
 fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shared>) {
+    shared.counters().requests += 1;
     let line = match frame {
         Frame::Line(line) => line,
         Frame::TooLong { resynced } => {
-            if resynced {
-                shared.counters().bad_request += 1;
-            }
+            shared.counters().bad_request += 1;
             let _ = reply.send(line_too_long_response(resynced).render());
             return;
         }
     };
-    shared.counters().requests += 1;
     let mut value = match json::parse(line) {
         Ok(value) => value,
         Err(e) => {
@@ -684,16 +682,6 @@ mod tests {
         assert!(rejection.contains(
             "request line exceeds the size limit; the line was discarded (limit 4194304 bytes)"
         ));
-        // The router's own stats reflect what happened.
-        let stats = client.request(&crate::protocol::stats_request()).unwrap();
-        let router_block = stats.get("result").unwrap().get("router").unwrap();
-        assert_eq!(
-            router_block.get("shard_unavailable").unwrap().as_u64(),
-            Some(1)
-        );
-        assert_eq!(router_block.get("bad_request").unwrap().as_u64(), Some(2));
-        let shards = stats.get("result").unwrap().get("shards").unwrap();
-        assert_eq!(shards.as_arr().unwrap().len(), 2);
         // An unterminated line over the cap gets one error line, then the
         // connection closes.
         let mut raw = TcpStream::connect(addr).unwrap();
@@ -702,5 +690,17 @@ mod tests {
         raw.read_to_string(&mut answer).unwrap();
         assert_eq!(answer, line_too_long_response(false).render() + "\n");
         assert!(answer.contains("with no terminator; closing the connection"));
+        // The router's own stats, read on a fresh connection, reflect what
+        // happened: five frames (the stats request itself included), and
+        // the admin verb plus both over-long lines as bad requests.
+        let mut client = crate::client::Client::connect(addr).unwrap();
+        let stats = client.request(&crate::protocol::stats_request()).unwrap();
+        let router_block = stats.get("result").unwrap().get("router").unwrap();
+        let counter = |name: &str| router_block.get(name).unwrap().as_u64();
+        assert_eq!(counter("shard_unavailable"), Some(1));
+        assert_eq!(counter("requests"), Some(5));
+        assert_eq!(counter("bad_request"), Some(3));
+        let shards = stats.get("result").unwrap().get("shards").unwrap();
+        assert_eq!(shards.as_arr().unwrap().len(), 2);
     }
 }

@@ -25,8 +25,8 @@
 //!     --cache-max-cq-pairs <N>
 //!     --cache-max-canonical <N>
 //!                           per-segment decision-cache caps (default
-//!                           1024 each; 0 = unbounded); overflow evicts
-//!                           cost-aware LRU
+//!                           1024 each; 0 = unbounded); a store past
+//!                           the cap evicts the least recently used entry
 //!     --cache-file <PATH>   snapshot path: warm-start from it when it
 //!                           exists, and the default for the `save_cache`
 //!                           / `load_cache` admin verbs

@@ -12,6 +12,9 @@
 //!   move backwards between observations;
 //! * **bounded occupancy**: every observed `CacheSizes` respects the caps
 //!   — the memory bound holds *throughout*, not just at the end;
+//! * **exact caps**: at the end, every segment that evicted holds exactly
+//!   its cap (an overflow evicts one least-recently-used entry, not a
+//!   batch);
 //! * evictions actually occur (the workload is genuinely larger than the
 //!   cache), and repeated keys still produce hits under churn.
 //!
@@ -54,6 +57,9 @@ struct Sample {
     decision_entries: u64,
     cq_pair_entries: u64,
     cq_in_program_entries: u64,
+    evicted_decisions: u64,
+    evicted_cq_pairs: u64,
+    evicted_cq_in_program: u64,
 }
 
 fn sample(client: &mut Client) -> Sample {
@@ -71,6 +77,9 @@ fn sample(client: &mut Client) -> Sample {
         decision_entries: get(cache, "decision_entries"),
         cq_pair_entries: get(cache, "cq_pair_entries"),
         cq_in_program_entries: get(cache, "cq_in_program_entries"),
+        evicted_decisions: get(cache, "evicted_decisions"),
+        evicted_cq_pairs: get(cache, "evicted_cq_pairs"),
+        evicted_cq_in_program: get(cache, "evicted_cq_in_program"),
     }
 }
 
@@ -90,6 +99,39 @@ fn assert_bounded(sample: &Sample, context: &str) {
         "{context}: {} canonical-db entries over the cap of {CANONICAL_CAP}",
         sample.cq_in_program_entries
     );
+}
+
+/// Every segment that has evicted is full to exactly its cap: once a
+/// segment overflows, each further store of a new key sheds one entry.
+fn assert_full_where_evicted(sample: &Sample, context: &str) {
+    for (name, evicted, entries, cap) in [
+        (
+            "decision",
+            sample.evicted_decisions,
+            sample.decision_entries,
+            DECISION_CAP,
+        ),
+        (
+            "cq-pair",
+            sample.evicted_cq_pairs,
+            sample.cq_pair_entries,
+            CQ_PAIR_CAP,
+        ),
+        (
+            "canonical-db",
+            sample.evicted_cq_in_program,
+            sample.cq_in_program_entries,
+            CANONICAL_CAP,
+        ),
+    ] {
+        if evicted > 0 {
+            assert_eq!(
+                entries, cap,
+                "{context}: the {name} segment evicted {evicted} entries but holds \
+                 {entries}, not its cap of {cap}"
+            );
+        }
+    }
 }
 
 fn assert_monotone(previous: &Sample, current: &Sample, context: &str) {
@@ -211,6 +253,7 @@ fn bounded_cache_soak_stays_healthy_under_churn() {
     );
     assert_eq!(last.busy, 0, "no busy storm: {} rejections", last.busy);
     assert_bounded(last, "final");
+    assert_full_where_evicted(last, "final");
     assert!(
         last.evictions > 0,
         "the workload must overflow the caps and evict"

@@ -458,7 +458,8 @@ impl DecisionCache {
     /// snapshot's surplus, never the live hot set.  Within one segment the
     /// later entries in snapshot order rank higher, so they are the slice
     /// that stays.  Hit/miss statistics are untouched: counters describe
-    /// *this* process's traffic.  Returns how many entries were added.
+    /// *this* process's traffic.  Returns how many entries were added and
+    /// stayed: one a full segment sheds at once does not count.
     pub(crate) fn import_entries(&self, entries: ExportedEntries) -> CacheSizes {
         let mut added = CacheSizes::default();
         let mut inner = self.lock();

@@ -113,7 +113,8 @@ impl<K: ?Sized + Hash + Eq, V> Lru<K, V> {
     /// entry, so it is the next victim.  An existing key keeps its value
     /// and its rank.  In a full map the newcomer is itself the least
     /// recently used entry, so it is evicted straight away.  Returns whether
-    /// `key` was vacant.
+    /// the newcomer is resident afterwards: `false` for a live key and for
+    /// one the cap shed at once.
     ///
     /// A snapshot import stores through here: the hot set a live server is
     /// answering from outranks whatever a snapshot remembers.
@@ -124,7 +125,7 @@ impl<K: ?Sized + Hash + Eq, V> Lru<K, V> {
         }
         if self.cap.is_some_and(|cap| self.entries.len() >= cap) {
             self.evicted += 1;
-            return true;
+            return false;
         }
         let tick = self
             .recency
@@ -204,7 +205,7 @@ mod tests {
         assert!(lru.is_empty());
         assert_eq!(lru.evictions(), 4);
         assert_eq!(lru.get("k0"), None);
-        assert!(lru.insert_below("k9".to_string(), 9));
+        assert!(!lru.insert_below("k9".to_string(), 9), "shed at once");
         assert!(lru.is_empty());
         assert_eq!(lru.evictions(), 5);
     }
@@ -234,7 +235,7 @@ mod tests {
         assert!(lru.insert_below("old1".to_string(), 1));
         assert_eq!(lru.len(), 4);
         // Full: a further below-live insert is its own victim.
-        assert!(lru.insert_below("old2".to_string(), 2));
+        assert!(!lru.insert_below("old2".to_string(), 2), "shed at once");
         assert_eq!((lru.len(), lru.evictions()), (4, 1));
         assert_eq!(lru.iter().filter(|(key, _)| *key == "old2").count(), 0);
         // New stores shed the imports first, the latest-inserted one

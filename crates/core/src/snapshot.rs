@@ -589,9 +589,10 @@ impl DecisionCache {
     ///
     /// All-or-nothing: any error leaves the cache untouched.  Existing
     /// entries win over persisted ones, hit/miss statistics are untouched,
-    /// and the configured [`crate::cache::CacheLimits`] are enforced after
-    /// the merge (loading can evict, never overflow).  Returns how many
-    /// entries per segment were actually added.
+    /// and the configured [`crate::cache::CacheLimits`] hold throughout:
+    /// an entry over a segment's cap is shed on insert, never a live one
+    /// (loading can shed, never overflow).  Returns how many entries per
+    /// segment were added and stayed.
     pub fn load_snapshot_bytes(&self, bytes: &[u8]) -> Result<CacheSizes, SnapshotError> {
         if bytes.len() < 24 {
             return Err(SnapshotError::TooShort);
@@ -749,8 +750,11 @@ mod tests {
         for theta in &hot {
             live.cq_contained(theta, &psi);
         }
-        live.load_snapshot_bytes(&bytes).unwrap();
-        assert!(live.sizes().cq_pairs <= 8);
+        let added = live.load_snapshot_bytes(&bytes).unwrap();
+        // Four slots were free: four snapshot entries stay, and only those
+        // count as loaded.
+        assert_eq!(added.cq_pairs, 4);
+        assert_eq!(live.sizes().cq_pairs, 8);
         // The live hot set must have survived the merge-and-enforce: the
         // snapshot's surplus is what gets shed.
         for theta in &hot {

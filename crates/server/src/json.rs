@@ -105,7 +105,8 @@ impl Value {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// [`Value::render`] appended to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
@@ -195,25 +196,39 @@ impl std::error::Error for JsonError {}
 
 /// Parse one JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after the value"));
-    }
-    Ok(value)
+    Parser::run(text, true)
+}
+
+/// Whether [`parse`] would accept `text`, checked without building the
+/// value: nothing is allocated on the way to `true`.
+pub fn is_valid(text: &str) -> bool {
+    Parser::run(text, false).is_ok()
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// `false` checks the grammar only: strings, arrays and objects come
+    /// back empty.
+    build: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn run(text: &'a str, build: bool) -> Result<Value, JsonError> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            build,
+        };
+        p.skip_ws();
+        let value = p.value(0)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after the value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -276,7 +291,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            if self.build {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -304,7 +322,9 @@ impl<'a> Parser<'a> {
             self.eat(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            if self.build {
+                fields.push((key, value));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -330,6 +350,33 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// The character of a `\uXXXX` escape (a surrogate pair takes two),
+    /// read from just after the `u`.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let c = if (0xd800..0xdc00).contains(&hi) {
+            // Surrogate pair: a second `\uXXXX` must follow.
+            if self.peek() != Some(b'\\') {
+                return Err(self.err("lone high surrogate"));
+            }
+            self.pos += 1;
+            if self.peek() != Some(b'u') {
+                return Err(self.err("lone high surrogate"));
+            }
+            self.pos += 1;
+            let lo = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+        } else if (0xdc00..0xe000).contains(&hi) {
+            return Err(self.err("lone low surrogate"));
+        } else {
+            hi
+        };
+        char::from_u32(c).ok_or_else(|| self.err("invalid unicode escape"))
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
@@ -342,47 +389,30 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: a second `\uXXXX` must follow.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                            } else if (0xdc00..0xe000).contains(&hi) {
-                                return Err(self.err("lone low surrogate"));
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                            continue;
+                            self.unicode_escape()?
                         }
-                        _ => return Err(self.err("invalid escape sequence")),
+                        escape => {
+                            let c = match escape {
+                                Some(b'"') => '"',
+                                Some(b'\\') => '\\',
+                                Some(b'/') => '/',
+                                Some(b'b') => '\u{0008}',
+                                Some(b'f') => '\u{000c}',
+                                Some(b'n') => '\n',
+                                Some(b'r') => '\r',
+                                Some(b't') => '\t',
+                                _ => return Err(self.err("invalid escape sequence")),
+                            };
+                            self.pos += 1;
+                            c
+                        }
+                    };
+                    if self.build {
+                        out.push(c);
                     }
-                    self.pos += 1;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
@@ -393,7 +423,9 @@ impl<'a> Parser<'a> {
                     while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xc0) == 0x80 {
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    if self.build {
+                        out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    }
                 }
             }
         }

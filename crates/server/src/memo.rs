@@ -173,7 +173,8 @@ impl ResponseMemo {
 /// and its E14 gate (pipelined ≥ 5× round trip) failed at 2.0–3.9× in
 /// three runs.  On unique-id traffic (the repository benchmark's
 /// `warm_zipf` and `warm_routed`) it never hits, and each answered line
-/// costs a store.
+/// costs a store.  Behind `nonrec-route` it never hits at all: every
+/// forwarded line carries a unique router id, even a replayed one.
 pub struct LineMemo {
     inner: Mutex<Lru<str, (&'static str, String)>>,
 }

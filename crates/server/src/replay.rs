@@ -30,7 +30,8 @@
 //! the first replay populates the text-level memo layers, and the second
 //! replay's byte-identical request lines are answered from the line memo —
 //! stored bytes, stored `micros` and all.  `tests/server_soak.rs` pins
-//! exactly that property; [`response_digest`] is the order-insensitive
+//! exactly that property, and that a replay through a router answers with
+//! the same bytes; [`response_digest`] is the order-insensitive
 //! fingerprint it and the `nonrec-replay` bin compare.
 
 use std::io::{BufRead, BufWriter, Write};

@@ -8,11 +8,15 @@
 //! * each client request's **program** is hashed to a shard via
 //!   [`nonrec_equivalence::ProgramKey`] — structurally equivalent programs
 //!   land on the same shard, so each shard's cache (and snapshot file)
-//!   stays hot for its own keyspace slice across fleet restarts;
+//!   stays hot for its own keyspace slice across fleet restarts.  The hash
+//!   is memoised per program text (the 4096 most recently routed texts),
+//!   so a repeated program is neither parsed nor canonicalised again;
 //! * requests are forwarded over one **persistent pipelined connection**
 //!   per backend, shared by every client, with the request `id` rewritten
 //!   to a router-global token and restored on the way back (responses
-//!   merge by id, so out-of-order completion is fine);
+//!   merge by id, so out-of-order completion is fine).  A success response
+//!   is forwarded byte for byte with only its leading `id` spliced; error
+//!   responses and anything unexpected are parsed and re-rendered;
 //! * when a backend dies, its in-flight requests are **requeued** to a
 //!   live shard — the client sees a slower answer, not a lost one.  Only
 //!   when *no* shard can take a request does the router answer with its
@@ -31,6 +35,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use datalog::parser::parse_program;
+use nonrec_equivalence::lru::Lru;
 use nonrec_equivalence::ProgramKey;
 
 use crate::json::{self, obj, Value};
@@ -42,6 +47,10 @@ use crate::server::{line_too_long_response, serve_connection, Frame};
 /// `busy` means back off and retry the same tier, `shard_unavailable` means
 /// the fleet itself is degraded.
 pub const SHARD_UNAVAILABLE: &str = "shard_unavailable";
+
+/// How many program texts the router remembers the shard hash of.  A
+/// remembered text costs one copy of it plus a `u64`.
+const MEMO_CAP: usize = 4096;
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -72,9 +81,10 @@ struct Pending {
     client: mpsc::Sender<String>,
     /// The client's original `id`, restored on the way back.
     original_id: Option<Value>,
-    /// The full request with the router id installed — kept so a backend
-    /// death can replay it on another shard.
-    request: Value,
+    /// The rendered request line (newline included) with the router id
+    /// installed — kept so a backend death can re-send the same bytes on
+    /// another shard.
+    line: Arc<str>,
     /// Shard the request is currently in flight on.
     shard: usize,
     /// Connection generation it was written on (`u64::MAX` until written):
@@ -121,6 +131,32 @@ struct Counters {
     shards: Vec<ShardCounters>,
 }
 
+/// [`route_hash`] by program text, bounded to [`MEMO_CAP`] texts.
+struct RouteMemo(Mutex<Lru<str, u64>>);
+
+impl RouteMemo {
+    fn new() -> RouteMemo {
+        RouteMemo(Mutex::new(Lru::new(Some(MEMO_CAP))))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<str, u64>> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The shard hash of `text`.  A repeated text is answered from the memo;
+    /// a new one is hashed outside the lock, then remembered.
+    fn hash(&self, text: &str) -> u64 {
+        if let Some(&hash) = self.lock().get(text) {
+            return hash;
+        }
+        let hash = route_hash(text);
+        self.lock().insert(text, hash);
+        hash
+    }
+}
+
 struct Shared {
     backends: Vec<Backend>,
     pending: Mutex<HashMap<u64, Pending>>,
@@ -128,11 +164,13 @@ struct Shared {
     round_robin: AtomicUsize,
     cooldown: Duration,
     counters: Mutex<Counters>,
+    route_memo: RouteMemo,
 }
 
 // Lock order: a thread holding `pending` never takes a `slot` lock (the
 // reverse — slot, then pending — happens in `send_on_shard`).  `counters`
-// is a leaf: taken last, never held across another acquisition.
+// and `route_memo` are leaves: taken last, never held across another
+// acquisition.
 impl Shared {
     fn pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Pending>> {
         self.pending
@@ -191,6 +229,7 @@ impl Router {
                     shards: vec![ShardCounters::default(); shards],
                     ..Counters::default()
                 }),
+                route_memo: RouteMemo::new(),
             }),
         })
     }
@@ -329,20 +368,22 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
         return;
     }
     let shard = match route_text(&value) {
-        Some(text) => (route_hash(text) % shared.backends.len() as u64) as usize,
+        Some(text) => (shared.route_memo.hash(text) % shared.backends.len() as u64) as usize,
         // Keyless requests (nothing program-bearing) round-robin: any shard
         // can answer them, so spread the load.
         None => shared.round_robin.fetch_add(1, Ordering::Relaxed) % shared.backends.len(),
     };
     let router_id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let original_id = swap_id(&mut value, Value::num(router_id as f64));
+    let mut line = value.render();
+    line.push('\n');
     dispatch(
         shared,
         router_id,
         Pending {
             client: reply.clone(),
             original_id,
-            request: value,
+            line: line.into(),
             shard,
             generation: u64::MAX,
             attempts: 0,
@@ -362,8 +403,7 @@ fn dispatch(shared: &Arc<Shared>, router_id: u64, mut pending: Pending) {
     }
     pending.attempts += 1;
     let start = pending.shard;
-    let mut line = pending.request.render();
-    line.push('\n');
+    let line = Arc::clone(&pending.line);
     for offset in 0..shards {
         let shard = (start + offset) % shards;
         // The entry must be in the table *before* the write: the backend's
@@ -468,6 +508,44 @@ fn connect_backend(shared: &Arc<Shared>, shard: usize, slot: &mut Slot) -> Resul
     Ok(())
 }
 
+/// The head every spliceable response starts with: `ok_response` renders
+/// the `id` first, and the router's ids are plain integers.
+const SPLICE_HEAD: &str = "{\"id\":";
+
+/// A backend response the router forwards without parsing it: a valid JSON
+/// line `{"id":<router id>,"ok":true,...`.  Returns the router id and the
+/// bytes after it, which go to the client unchanged.  `None` sends the line
+/// down the parse path: every error (so `busy` is counted), an id that is
+/// not up to 15 plain digits (so it reads the same as a JSON number), and
+/// anything that is not valid JSON.
+fn spliceable(line: &str) -> Option<(u64, &str)> {
+    let rest = line.strip_prefix(SPLICE_HEAD)?;
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let tail = &rest[digits..];
+    if !(1..=15).contains(&digits) || !tail.starts_with(",\"ok\":true,") || !json::is_valid(line) {
+        return None;
+    }
+    Some((rest[..digits].parse().ok()?, tail))
+}
+
+/// A spliceable response's forwarded bytes: the head, the client's id,
+/// then the backend's bytes after its router id.
+fn splice(client_id: &Value, tail: &str) -> String {
+    let mut response = String::with_capacity(SPLICE_HEAD.len() + tail.len() + 16);
+    response.push_str(SPLICE_HEAD);
+    client_id.write(&mut response);
+    response.push_str(tail);
+    response
+}
+
+/// A backend response on its way to the client.
+enum Answer<'a> {
+    /// The bytes after a spliceable response's id (see [`spliceable`]).
+    Splice(&'a str),
+    /// Any other response, parsed.
+    Parsed(Value),
+}
+
 /// The per-backend-connection reader: match responses to pending entries by
 /// router id, restore the client id, forward to the owning client.  On EOF
 /// or error, clear the slot (if this generation still owns it) and requeue
@@ -485,26 +563,35 @@ fn backend_read_loop(shared: &Arc<Shared>, shard: usize, generation: u64, stream
         if trimmed.is_empty() {
             continue;
         }
-        let Ok(mut value) = json::parse(trimmed) else {
-            // A backend speaking garbage is indistinguishable from a dead
-            // one for the requests in flight; drop the connection and let
-            // the sweep requeue them.
-            break;
-        };
-        let Some(router_id) = value.get("id").and_then(Value::as_u64) else {
-            // Unattributable frame (e.g. the backend's one-line
-            // connection-limit rejection carries id null); skip it — if the
-            // backend then closes, the sweep handles the fallout.
-            continue;
+        let (router_id, answer) = match spliceable(trimmed) {
+            Some((router_id, tail)) => (router_id, Answer::Splice(tail)),
+            None => {
+                let Ok(value) = json::parse(trimmed) else {
+                    // A backend speaking garbage is indistinguishable from
+                    // a dead one for the requests in flight; drop the
+                    // connection and let the sweep requeue them.
+                    break;
+                };
+                let Some(router_id) = value.get("id").and_then(Value::as_u64) else {
+                    // Unattributable frame (e.g. the backend's one-line
+                    // connection-limit rejection carries id null); skip it
+                    // — if the backend then closes, the sweep handles the
+                    // fallout.
+                    continue;
+                };
+                (router_id, Answer::Parsed(value))
+            }
         };
         let Some(pending) = shared.pending().remove(&router_id) else {
             continue;
         };
-        let busy = value
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Value::as_str)
-            == Some("busy");
+        let busy = match &answer {
+            Answer::Splice(_) => false,
+            Answer::Parsed(value) => {
+                let code = value.get("error").and_then(|e| e.get("code"));
+                code.and_then(Value::as_str) == Some("busy")
+            }
+        };
         {
             let mut counters = shared.counters();
             counters.shards[shard].replies += 1;
@@ -515,8 +602,15 @@ fn backend_read_loop(shared: &Arc<Shared>, shard: usize, generation: u64, stream
                 counters.shards[shard].busy += 1;
             }
         }
-        swap_id(&mut value, pending.original_id.unwrap_or(Value::Null));
-        let _ = pending.client.send(value.render());
+        let client_id = pending.original_id.unwrap_or(Value::Null);
+        let response = match answer {
+            Answer::Splice(tail) => splice(&client_id, tail),
+            Answer::Parsed(mut value) => {
+                swap_id(&mut value, client_id);
+                value.render()
+            }
+        };
+        let _ = pending.client.send(response);
     }
     shared.counters().shards[shard].disconnects += 1;
     {
@@ -613,6 +707,158 @@ mod tests {
         // Stable across calls (and, by construction, across processes:
         // the hash never sees interner indices).
         assert_eq!(a, route_hash("p(X, Y) :- e(X, Z), e(Z, Y)."));
+    }
+
+    #[test]
+    fn the_route_memo_remembers_texts_and_keeps_their_shards() {
+        let memo = RouteMemo::new();
+        let text = "p(X, Y) :- e(X, Z), e(Z, Y).";
+        let hash = memo.hash(text);
+        assert_eq!(hash, route_hash(text));
+        assert_eq!(memo.lock().len(), 1);
+        // The second route of the text is answered from the memo: a value
+        // planted under it comes back instead of a recomputed hash.
+        memo.lock().insert(text, hash ^ 1);
+        assert_eq!(memo.hash(text), hash ^ 1);
+        assert_eq!(memo.lock().len(), 1);
+        memo.lock().insert(text, hash);
+        // Alpha-renamed and whitespace variants are separate texts with the
+        // same shard.
+        assert_eq!(memo.hash("p(U, V) :- e(U, W), e(W, V)."), hash);
+        assert_eq!(memo.hash("p(X, Y)  :-  e(X, Z),  e(Z, Y)."), hash);
+        assert_eq!(memo.lock().len(), 3);
+        // Distinct texts past the cap: the memo holds exactly its cap.
+        for i in 0..=MEMO_CAP {
+            memo.hash(&format!("not a program {i}"));
+        }
+        assert_eq!(memo.lock().len(), MEMO_CAP);
+        assert_eq!(memo.lock().get(text), None, "the oldest text is shed");
+    }
+
+    /// Response lines as a shard renders them, under router ids: successes
+    /// of several verbs and the errors the router must count.
+    fn backend_responses() -> Vec<String> {
+        let stats = crate::stats::ServerStats::new();
+        let requests = [
+            crate::protocol::containment_request(
+                "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).",
+                "p",
+                "q(X, Y) :- e(X, Z), e(Z, Y).",
+            ),
+            crate::protocol::equivalence_request(
+                "buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), buys(Z, Y).",
+                "buys",
+                "buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), likes(Z, Y).",
+            ),
+            crate::protocol::minimize_request("q(X) :- e(X, Y), e(X, Z)."),
+            crate::protocol::containment_request("p(X :- e(X).", "p", "q(X) :- e(X, X)."),
+        ];
+        let mut lines: Vec<String> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut request)| {
+                swap_id(&mut request, Value::num(1000.0 + i as f64));
+                let request = crate::protocol::parse_request(&request, true).unwrap();
+                crate::pool::respond(&request, &stats, None).render()
+            })
+            .collect();
+        lines.push(
+            error_response(
+                &Some(Value::num(7.0)),
+                &WireError::new("busy", "the worker queue is full"),
+            )
+            .render(),
+        );
+        lines
+    }
+
+    #[test]
+    fn splicing_matches_parse_swap_render_on_every_mutant() {
+        use rng::rngs::StdRng;
+        use rng::{Rng, SeedableRng};
+
+        const MUTANTS: usize = 50_000;
+        /// Bytes that steer mutants toward the JSON grammar's branches.
+        const JSON_BYTES: &[u8] = b"{}[]:,\"\\ -+.0123456789eEtrufalsn";
+        let client_ids = [
+            Value::str("t\"1\\\n-é✓"),
+            Value::num(42.0),
+            Value::num(2.5),
+            Value::Null,
+            json::parse(r#"{"a":[1,"b"]}"#).unwrap(),
+        ];
+        // The reference: the parse path of `backend_read_loop`.
+        let reparsed = |line: &str, client_id: &Value| -> Option<(u64, String)> {
+            let mut value = json::parse(line).ok()?;
+            let router_id = value.get("id").and_then(Value::as_u64)?;
+            swap_id(&mut value, client_id.clone());
+            Some((router_id, value.render()))
+        };
+
+        let lines = backend_responses();
+        let successes = lines.iter().filter(|l| l.contains(r#""ok":true"#)).count();
+        assert_eq!(successes, 3, "{lines:?}");
+        for line in &lines {
+            // Unmutated: successes splice to exactly today's re-render,
+            // errors take the parse path.
+            let client_id = &client_ids[0];
+            match spliceable(line) {
+                Some((router_id, tail)) => {
+                    assert_eq!(
+                        Some((router_id, splice(client_id, tail))),
+                        reparsed(line, client_id)
+                    );
+                }
+                None => assert!(line.contains(r#""ok":false"#), "{line}"),
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(601);
+        let mut spliced = 0;
+        for n in 0..MUTANTS {
+            let mut bytes = lines[rng.random_range(0..lines.len())].clone().into_bytes();
+            for _ in 0..rng.random_range(1..=3usize) {
+                // Half the edits land in the head, where the fast path looks.
+                let end = if rng.random_bool(0.5) {
+                    24
+                } else {
+                    bytes.len()
+                };
+                let at = rng.random_range(0..=end.min(bytes.len()));
+                let byte = if rng.random_bool(0.5) {
+                    JSON_BYTES[rng.random_range(0..JSON_BYTES.len())]
+                } else {
+                    rng.random_range(0..256u32) as u8
+                };
+                match rng.random_range(0..4u32) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => drop(bytes.remove(at)),
+                    2 if at < bytes.len() => bytes[at] ^= 1 << rng.random_range(0..8u32),
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let mutant = String::from_utf8_lossy(&bytes);
+            assert_eq!(
+                json::is_valid(&mutant),
+                json::parse(&mutant).is_ok(),
+                "{mutant}"
+            );
+            let client_id = &client_ids[n % client_ids.len()];
+            let Some((router_id, tail)) = spliceable(&mutant) else {
+                continue;
+            };
+            spliced += 1;
+            let (expected_id, expected) = reparsed(&mutant, client_id)
+                .unwrap_or_else(|| panic!("spliced a line the parse path drops: {mutant}"));
+            assert_eq!(router_id, expected_id, "{mutant}");
+            assert_eq!(
+                json::parse(&splice(client_id, tail)).ok(),
+                json::parse(&expected).ok(),
+                "{mutant}"
+            );
+        }
+        // Most mutants of a success line keep its head and its validity.
+        assert!(spliced > MUTANTS / 10, "only {spliced} mutants spliced");
     }
 
     #[test]

@@ -30,9 +30,12 @@
 #                  monotone counters, capped occupancy, no busy storm —
 #                  plus the replay-determinism gates: a recorded workload
 #                  capture replayed twice must answer byte-identically,
-#                  and a routed replay across a shard death must answer
-#                  every captured id exactly once; release so it reuses
-#                  the build stage's artifacts)
+#                  a capture replayed through a one-backend router must
+#                  answer with the direct replay's bytes (the router's id
+#                  splice under a deep pipelined stream), and a routed
+#                  replay across a shard death must answer every captured
+#                  id exactly once; release so it reuses the build
+#                  stage's artifacts)
 #     clippy       cargo clippy --all-targets -- -D warnings
 #     doc          RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 #                  (broken intra-doc links and malformed rustdoc fail CI)

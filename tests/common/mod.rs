@@ -97,6 +97,11 @@ impl RouterProc {
     pub fn client(&self) -> Client {
         Client::connect(self.addr.as_str()).expect("connect to nonrec-route")
     }
+
+    /// The router's bound address.
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
 }
 
 impl Drop for RouterProc {

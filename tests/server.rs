@@ -760,6 +760,83 @@ fn router_shards_requests_and_answers_like_the_oracle() {
     );
 }
 
+/// The router's answers are the shard's, byte for byte: a success is
+/// forwarded with only its id spliced in, and every error the router
+/// forwards or answers itself reads as the shard's own.  Each line goes to
+/// the shard directly first, so the routed repeat meets the same warm memo
+/// and the same stored result.
+#[test]
+fn routed_responses_are_byte_identical_to_direct_ones() {
+    let shard = ServerProc::spawn(&[]);
+    let router = common::RouterProc::spawn(&[shard.addr()], &[]);
+    let spec = workload::WorkloadSpec {
+        requests: 64,
+        ..workload::WorkloadSpec::default()
+    };
+    let mut lines: Vec<String> = workload::generate(&spec, 601)
+        .into_iter()
+        .map(|request| request.line)
+        .collect();
+    let decision = protocol::containment_request(
+        "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).",
+        "p",
+        "q(X, Y) :- e(X, Z), e(Z, Y).",
+    );
+    let ids = [
+        Some(Value::str("t\"1\\\n\t-é✓")),
+        Some(Value::num(7.0)),
+        Some(Value::num(2.5)),
+        Some(Value::Null),
+        Some(json_value(r#"{"a":[1,"b"],"c":{}}"#)),
+        None,
+    ];
+    for id in ids {
+        let mut request = decision.clone();
+        if let (Value::Obj(fields), Some(id)) = (&mut request, id) {
+            fields.insert(0, ("id".to_string(), id));
+        }
+        lines.push(request.render());
+    }
+    lines.extend(
+        [
+            // invalid_json: answered by the router itself.
+            r#"{"op":"containment","id":"cut""#,
+            // bad_request: forwarded, answered by the shard.
+            r#"{"op":"containment","id":"no-query","program":"p(X) :- e(X, X).","goal":"p"}"#,
+            // parse_error: forwarded, answered by the shard.
+            r#"{"op":"containment","id":"bad-program","program":"p(X :- e(X).","goal":"p","query":"q(X) :- e(X, X)."}"#,
+        ]
+        .map(str::to_string),
+    );
+
+    let mut direct = shard.client();
+    let mut routed = router.client();
+    for line in &lines {
+        let expected = direct.request_line(line).expect("direct answer");
+        let answer = routed.request_line(line).expect("routed answer");
+        assert_eq!(answer, expected, "request {line}");
+    }
+    let codes: Vec<String> = lines[lines.len() - 3..]
+        .iter()
+        .map(|line| {
+            let response = json_value(&routed.request_line(line).unwrap());
+            response
+                .get("error")
+                .unwrap()
+                .get("code")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    assert_eq!(codes, ["invalid_json", "bad_request", "parse_error"]);
+}
+
+fn json_value(text: &str) -> Value {
+    server::json::parse(text).expect("valid JSON")
+}
+
 // ---- Observability: the `trace` and `metrics_text` verbs, and the
 // golden shape of `stats`.
 

@@ -478,6 +478,86 @@ fn replaying_one_capture_twice_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The router's byte splice under a deep pipelined stream: a recorded
+/// workload capture replayed directly to one shard twice, then through a
+/// one-backend router, answers the routed pass with exactly the second
+/// direct pass's bytes (both passes pipelined, unpaced).  The second direct pass is answered from the line
+/// memo; the routed lines carry router ids, so the shard answers them from
+/// the response memo and the router splices each client id back in.
+///
+/// Gated like the churn soak: `NONREC_SOAK_FAST=1` / `NONREC_SOAK=1`.
+#[test]
+fn routed_replay_answers_like_a_direct_replay() {
+    let Some(total) = soak_requests_per_client() else {
+        eprintln!("server_soak: skipped (set NONREC_SOAK_FAST=1 or NONREC_SOAK=1 to run)");
+        return;
+    };
+    use server::replay::{load_capture, replay, response_digest, write_capture, CaptureRecord};
+
+    let spec = workload::WorkloadSpec {
+        requests: 4 * total,
+        tenants: 3,
+        programs: 16,
+        zipf_s: 1.1,
+        ..workload::WorkloadSpec::default()
+    };
+    let records: Vec<CaptureRecord> = workload::generate(&spec, 601)
+        .into_iter()
+        .map(|r| CaptureRecord {
+            offset_micros: r.offset_micros,
+            line: r.line,
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("nonrec-routed-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let capture_path = dir.join("capture.log");
+    write_capture(
+        std::fs::File::create(&capture_path).expect("create capture"),
+        &records,
+    )
+    .expect("write capture");
+    let captured = load_capture(&capture_path).expect("load capture");
+    assert_eq!(captured, records);
+
+    let shard = ServerProc::spawn(&["--workers", "2", "--queue", "4096"]);
+    let router = RouterProc::spawn(&[shard.addr()], &[]);
+    // The first pass goes one round trip at a time, so each distinct
+    // command is computed once and every later line meets its stored
+    // result.  (Pipelined, two lines of one command can both be computed,
+    // and their `containment_cache_hits` differ.)
+    let mut direct = shard.client();
+    for record in &captured {
+        let response = direct.request_line(&record.line).expect("direct pass 1");
+        assert!(response.contains("\"ok\":true"), "{response}");
+    }
+    let second = replay(shard.addr(), &captured, false).expect("direct pass 2");
+    let routed = replay(router.addr(), &captured, false).expect("routed pass");
+    assert_eq!(routed.len(), captured.len());
+    if response_digest(&routed) != response_digest(&second) {
+        let mut routed = routed;
+        let mut second = second;
+        routed.sort_unstable();
+        second.sort_unstable();
+        let first_diff = routed.iter().zip(&second).find(|(a, b)| a != b);
+        panic!("routed and direct replays differ; first difference: {first_diff:?}");
+    }
+    let stats = router
+        .client()
+        .request(&protocol::stats_request())
+        .expect("stats");
+    let shards = stats
+        .get("result")
+        .and_then(|r| r.get("shards"))
+        .and_then(Value::as_arr)
+        .expect("per-shard counters");
+    assert_eq!(
+        shards[0].get("replies").and_then(Value::as_u64),
+        Some(captured.len() as u64),
+        "every routed answer counts as a reply"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Satellite: exactly-once delivery under replayed traffic across a shard
 /// death.  The capture file is the ground-truth request multiset: its raw
 /// lines are streamed byte-for-byte at a 2-shard routed fleet, one shard is

@@ -33,6 +33,9 @@
 //!   ≥ 2×, and the pipelined 4-client fleet must no longer be slower
 //!   than 1 round-trip client (the regression the pipelining work
 //!   fixed);
+//! * the single-client pipelined warm burst with a unique id leading every
+//!   line must reach ≥ 0.5× the same-run id-less pipelined warm rps (the
+//!   line memo keys on the line after its id);
 //! * the routed phases must forward on **both** shards, pass no `busy`
 //!   through, and requeue nothing (no shard died);
 //! * the churn phase must actually evict, must stay within its cap, and
@@ -189,6 +192,22 @@ fn drive(addr: std::net::SocketAddr, fleets: &[Vec<Value>]) -> (usize, usize, f6
     let ok = outcomes.iter().map(|(o, _)| o).sum();
     let errors = outcomes.iter().map(|(_, e)| e).sum();
     (ok, errors, seconds)
+}
+
+/// `requests` repeated `replays` times as one burst, each line led by an id
+/// that no line of another `burst` number carries.
+fn with_unique_ids(requests: &[Value], replays: usize, burst: usize) -> Vec<Value> {
+    let burst_len = requests.len() * replays;
+    (0..burst_len)
+        .map(|i| {
+            let mut request = requests[i % requests.len()].clone();
+            if let Value::Obj(fields) = &mut request {
+                let id = burst * burst_len + i;
+                fields.insert(0, ("id".to_string(), Value::num(id as f64)));
+            }
+            request
+        })
+        .collect()
 }
 
 /// Drive one pipelined phase: every client writes its whole burst
@@ -358,16 +377,28 @@ fn bench_serve(c: &mut Criterion) {
             .map(|client| client_requests(scenario, client))
             .collect();
 
-        for phase in ["cold", "warm"] {
-            let replays = if phase == "warm" { PIPE_REPLAYS } else { 1 };
+        // The single client also drains its warm burst with a unique id
+        // leading every line, as real clients' lines do.
+        let phases: &[&str] = if clients == 1 {
+            &["cold", "warm", "warm_unique_ids"]
+        } else {
+            &["cold", "warm"]
+        };
+        for &phase in phases {
+            let replays = if phase == "cold" { 1 } else { PIPE_REPLAYS };
             let burst_total: usize = fleets.iter().map(Vec::len).sum::<usize>() * replays;
-            let bursts = if phase == "warm" { WARM_BURSTS } else { 1 };
+            let bursts = if phase == "cold" { 1 } else { WARM_BURSTS };
             let total = burst_total * bursts;
             let (hits_before, misses_before, _) = cache_counters(&mut stats_client);
             let (mut ok, mut errors) = (0usize, 0usize);
             let mut fastest = f64::INFINITY;
-            for _ in 0..bursts {
-                let (burst_ok, burst_errors, seconds) = drive_pipelined(addr, &fleets, replays);
+            for burst in 0..bursts {
+                let (burst_ok, burst_errors, seconds) = if phase == "warm_unique_ids" {
+                    let lines = with_unique_ids(&fleets[0], replays, burst);
+                    drive_pipelined(addr, &[lines], 1)
+                } else {
+                    drive_pipelined(addr, &fleets, replays)
+                };
                 ok += burst_ok;
                 errors += burst_errors;
                 fastest = fastest.min(seconds);
@@ -386,11 +417,11 @@ fn bench_serve(c: &mut Criterion) {
 
             let hits = hits_after - hits_before;
             let misses = misses_after - misses_before;
-            let hit_rate_pct = if phase == "warm" {
+            let hit_rate_pct = if phase != "cold" {
                 let rate = 100 * hits / (hits + misses).max(1);
                 assert!(
                     rate >= 90,
-                    "{clients}-client pipelined warm hit rate {rate}% \
+                    "{clients}-client pipelined {phase} hit rate {rate}% \
                      ({hits} hits / {misses} misses)"
                 );
                 Some(rate)
@@ -439,6 +470,19 @@ fn bench_serve(c: &mut Criterion) {
                 pipe >= 5 * rt,
                 "single-client pipelined warm rps {pipe} is under 5x the \
                  round-trip warm rps {rt}"
+            );
+            // A fresh id per line must not cost the warm drain more than
+            // half its id-less rate: the line memo keys on the line after
+            // its id.
+            let unique = rows
+                .iter()
+                .find(|r| r.phase == "warm_unique_ids")
+                .expect("the unique-id row")
+                .rps;
+            assert!(
+                2 * unique >= pipe,
+                "single-client pipelined unique-id warm rps {unique} is under \
+                 0.5x the id-less pipelined warm rps {pipe}"
             );
         } else {
             assert!(

@@ -38,9 +38,9 @@
 //! says.
 //!
 //! In front of it sits a second, even earlier layer — the [`LineMemo`] —
-//! which answers *byte-identical request lines* before the JSON frame is
-//! parsed at all; see its docs for why that inherits this module's
-//! soundness argument.
+//! which answers a request line before the JSON frame is parsed at all,
+//! keyed on the line's bytes after its leading id ([`split_line_id`]); see
+//! its docs for why that inherits this module's soundness argument.
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -86,6 +86,51 @@ pub fn memo_key(command: &Command) -> Option<String> {
     Some(format!("{command:?}"))
 }
 
+/// How every response — and every line memo key — begins.
+const ID_PREFIX: &str = "{\"id\":";
+
+/// Cut a request line into its leading id token and its [`LineMemo`] key.
+///
+/// A line that starts `{"id":`, then a canonical token (1–15 digits with no
+/// leading zero, or a string holding no `"`, no `\` and no control byte),
+/// then `,` splits into that token and its bytes from the comma on.  Any
+/// other line is its own key, with the token `null`.  A line that begins
+/// with `,` gives `None`: it could collide with a cut key, and it is not
+/// JSON anyway.
+pub fn split_line_id(line: &str) -> Option<(&str, &str)> {
+    if line.starts_with(',') {
+        return None;
+    }
+    if let Some(rest) = line.strip_prefix(ID_PREFIX) {
+        let len = canonical_id_len(rest.as_bytes());
+        if len > 0 && rest.as_bytes().get(len) == Some(&b',') {
+            return Some(rest.split_at(len));
+        }
+    }
+    Some(("null", line))
+}
+
+/// The length of the canonical id token `bytes` starts with, or 0.
+fn canonical_id_len(bytes: &[u8]) -> usize {
+    match bytes.first() {
+        Some(b'0') => 1,
+        Some(b'1'..=b'9') => {
+            let digits = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+            if digits <= 15 {
+                digits
+            } else {
+                0
+            }
+        }
+        Some(b'"') => bytes[1..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .filter(|&end| bytes[1 + end] == b'"')
+            .map_or(0, |end| end + 2),
+        _ => 0,
+    }
+}
+
 /// The bounded text-level result cache.  See the module docs.
 pub struct ResponseMemo {
     inner: Mutex<Lru<str, Value>>,
@@ -123,9 +168,17 @@ impl ResponseMemo {
     }
 
     /// Store the result payload of a successfully executed command,
-    /// evicting the least-recently-used entry when the memo is full.
-    pub fn store(&self, key: String, result: &Value) {
-        self.lock().insert(key, result.clone());
+    /// evicting the least-recently-used entry when the memo is full.  A
+    /// store never replaces a resident payload: it returns that payload
+    /// instead, so two computations of one command in flight at once
+    /// answer alike (see the pool's `settle`).
+    pub fn store(&self, key: String, result: &Value) -> Option<Value> {
+        let mut memo = self.lock();
+        if let Some(resident) = memo.get(&key) {
+            return Some(resident.clone());
+        }
+        memo.insert(key, result.clone());
+        None
     }
 
     /// Forget everything (the `clear_cache` admin verb).
@@ -144,37 +197,55 @@ impl ResponseMemo {
     }
 }
 
-/// The raw-line front memo: complete rendered response **lines** keyed by
-/// the exact bytes of the request line.
+/// The raw-line front memo: rendered response lines keyed by the request
+/// line's bytes **after its leading id**, answered with that id spliced
+/// back in.
 ///
 /// The [`ResponseMemo`] already spares a repeated decision its
-/// canonicalisation — but the reader thread still parses the JSON frame
-/// and re-derives the command key on every repeat.  A pipelined warm
-/// burst is byte-identical line after byte-identical line, so even that
-/// parse is pure overhead.  This memo answers such repeats with a stored
-/// response line before the frame is parsed at all.
+/// canonicalisation — but the reader thread still parses the JSON frame,
+/// re-derives the command key and renders a response on every repeat.
+/// Warm traffic repeats a handful of commands under ever-new ids, so that
+/// work is pure overhead too.  This memo answers such repeats from a
+/// stored response before the frame is parsed at all.
+///
+/// The key is what [`split_line_id`] cuts: a line that starts `{"id":`,
+/// then a *canonical* id token, then `,` keys on its bytes from that comma
+/// on.  A canonical token is 1–15 digits with no leading zero, or a string
+/// holding no `"`, no `\` and no control byte — exactly the ids the
+/// response writer renders back verbatim.  Any other line keys on all of
+/// itself with the id `null`, and a line that begins with `,` (the shape
+/// of a cut key) is never looked up, so the two key forms stay disjoint.
+/// The stored value is the verb and the response bytes after
+/// `{"id":<token>`; a hit answers `{"id":` + its own token + those bytes.
 ///
 /// Soundness is inherited, not re-argued: a line is stored **only** after
-/// that exact line was parsed, proved memoisable by [`memo_key`] (pure
-/// decision verb, `use_cache` in force), and answered successfully.  A
-/// `stats`, admin, batch, or `no_cache` line can therefore never be in
-/// here.  The request `id` is part of the line bytes, so the stored
-/// response echoes the right id by construction; decision responses are
-/// pure functions of the line, so replaying one verbatim is exactly what
-/// the wire contract promises.  Error responses are never stored, and the
-/// `clear_cache` admin verb clears this memo along with the others.
+/// that line was parsed, proved memoisable by [`memo_key`] (pure decision
+/// verb, `use_cache` in force), and answered successfully, and only when
+/// the rendered response starts with `{"id":` + the line's own token + `,`.
+/// That check proves the leading token was the id the parse path echoes
+/// (its first-wins field lookup decides), which makes duplicate `id` keys,
+/// `"id":null` and id-less lines with a later `id` safe.  Swapping one
+/// canonical scalar for another keeps the line valid JSON with the same
+/// parsed command, and [`memo_key`] ignores the id, so every line under a
+/// key would compute the stored answer.  A `stats`, admin, batch, or
+/// `no_cache` line can never be in here; error responses are never
+/// stored, a store never replaces a resident entry, and the `clear_cache`
+/// admin verb clears this memo along with the others.
 ///
-/// Which traffic it serves: the key includes the `id`, so it hits only on
-/// id-less or replayed byte-identical lines — the serve bench's pipelined
-/// warm bursts (E14) and every `nonrec-replay` pass after the first.
-/// There it is most of the warm speed: with lookup and store stubbed
-/// out, the serve bench's single-client pipelined warm phase
-/// (`NONREC_BENCH_FAST=1`, 2 cores) fell from 306k–348k to 65k–73k rps,
-/// and its E14 gate (pipelined ≥ 5× round trip) failed at 2.0–3.9× in
-/// three runs.  On unique-id traffic (the repository benchmark's
-/// `warm_zipf` and `warm_routed`) it never hits, and each answered line
-/// costs a store.  Behind `nonrec-route` it never hits at all: every
-/// forwarded line carries a unique router id, even a replayed one.
+/// Which traffic it serves: every warm repeat whose id is canonical — the
+/// repository benchmark's unique-id `warm_zipf` stream, id-less pipelined
+/// bursts (E14), `nonrec-replay` passes after the first, and the lines
+/// `nonrec-route` forwards: it swaps a client's leading id for an integer
+/// router id, which is canonical.  (It appends its id to an id-less line,
+/// and such a line meets the [`ResponseMemo`] instead.)  With
+/// lookup and store stubbed out, the serve bench's single-client
+/// pipelined warm phase (`NONREC_BENCH_FAST=1`, 2 cores) fell from
+/// 306k–348k to 65k–73k rps, and its E14 gate (pipelined ≥ 5× round trip)
+/// failed at 2.0–3.9× in three runs.
+///
+/// [`LineMemo::lookup`] and [`LineMemo::store`] take the key as given;
+/// the server goes through [`LineMemo::recall_line`] and
+/// [`LineMemo::remember_line`], which cut it.
 pub struct LineMemo {
     inner: Mutex<Lru<str, (&'static str, String)>>,
 }
@@ -203,18 +274,51 @@ impl LineMemo {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Recall the stored response line for a request line, refreshing its
-    /// LRU recency.  Returns the verb too, so the caller can record the
-    /// completion under the right name without parsing anything.
-    pub fn lookup(&self, line: &str) -> Option<(&'static str, String)> {
-        self.lock().get(line).cloned()
+    /// Recall the verb and response stored under `key`, refreshing its
+    /// LRU recency.
+    pub fn lookup(&self, key: &str) -> Option<(&'static str, String)> {
+        self.lock().get(key).cloned()
     }
 
-    /// Store the rendered response line of a successfully executed,
-    /// memoisable request line, evicting the least-recently-used line when
-    /// the memo is full.
-    pub fn store(&self, line: String, verb: &'static str, response: String) {
-        self.lock().insert(line, (verb, response));
+    /// Store a verb and response under `key`, evicting the
+    /// least-recently-used entry when the memo is full.  A resident entry
+    /// is kept as it is.
+    pub fn store(&self, key: String, verb: &'static str, response: String) {
+        let mut memo = self.lock();
+        if memo.get(&key).is_none() {
+            memo.insert(key, (verb, response));
+        }
+    }
+
+    /// Answer a request line from the memo: its stored response with the
+    /// line's own id spliced in.  Returns the verb too, so the caller can
+    /// record the completion under the right name without parsing
+    /// anything.
+    pub fn recall_line(&self, line: &str) -> Option<(&'static str, String)> {
+        let (id, key) = split_line_id(line)?;
+        let mut memo = self.lock();
+        let (verb, tail) = memo.get(key)?;
+        let mut response = String::with_capacity(ID_PREFIX.len() + id.len() + tail.len());
+        response.push_str(ID_PREFIX);
+        response.push_str(id);
+        response.push_str(tail);
+        Some((*verb, response))
+    }
+
+    /// Store the rendered response of a successfully executed, memoisable
+    /// request line — when the response echoes the line's leading id token
+    /// (see the type docs).
+    pub fn remember_line(&self, line: &str, verb: &'static str, response: &str) {
+        let Some((id, key)) = split_line_id(line) else {
+            return;
+        };
+        let tail = response
+            .strip_prefix(ID_PREFIX)
+            .and_then(|rest| rest.strip_prefix(id))
+            .filter(|tail| tail.starts_with(','));
+        if let Some(tail) = tail {
+            self.store(key.to_string(), verb, tail.to_string());
+        }
     }
 
     /// Forget everything (the `clear_cache` admin verb).
@@ -338,6 +442,74 @@ mod tests {
         }
         assert_eq!(memo.len(), MEMO_CAP, "the memo is bounded to MEMO_CAP");
         assert!(memo.lookup(&format!("line{MEMO_CAP}")).is_some());
+    }
+
+    #[test]
+    fn line_ids_split_only_when_rendered_back_verbatim() {
+        let rest = r#","op":"stats"}"#;
+        for id in [
+            "0",
+            "7",
+            "999999999999999",
+            r#""t0-00001""#,
+            r#""""#,
+            r#""é✓""#,
+        ] {
+            let line = format!(r#"{{"id":{id}{rest}"#);
+            assert_eq!(split_line_id(&line), Some((id, rest)), "{line}");
+        }
+        for id in [
+            "1.0",
+            "-1",
+            "007",
+            "1e2",
+            "1234567890123456",
+            "null",
+            "true",
+            "{}",
+            r#""a\"b""#,
+            r#""\u0041""#,
+            "\"a\tb\"",
+            " 5",
+        ] {
+            let line = format!(r#"{{"id":{id}{rest}"#);
+            assert_eq!(
+                split_line_id(&line),
+                Some(("null", line.as_str())),
+                "{line}"
+            );
+        }
+        assert_eq!(split_line_id(rest), None, "a cut key never looks up");
+    }
+
+    #[test]
+    fn line_memo_splices_ids_and_stores_only_echoed_ones() {
+        let memo = LineMemo::new();
+        let line = |id: &str| {
+            format!(
+                r#"{{"id":{id},"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2}}"#
+            )
+        };
+        let answer = |id: &str| format!(r#"{{"id":{id},"ok":true,"verb":"bounded","result":1}}"#);
+        // A response that echoes another id than the leading token is not
+        // stored (a later duplicate `id` key won the parse).
+        memo.remember_line(&line("1"), "bounded", &answer("2"));
+        assert!(memo.is_empty());
+        memo.remember_line(&line("1"), "bounded", &answer("1"));
+        assert_eq!(
+            memo.recall_line(&line(r#""x""#)),
+            Some(("bounded", answer(r#""x""#)))
+        );
+        // A non-canonical id keys on the whole line and misses.
+        assert_eq!(memo.recall_line(&line("1.0")), None);
+        // A store never replaces a resident entry.
+        memo.remember_line(&line("3"), "bounded", &answer("3").replace(":1}", ":2}"));
+        assert_eq!(memo.recall_line(&line("4")), Some(("bounded", answer("4"))));
+        // An id-less line keys on itself and answers with `null`.
+        let idless = r#"{"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2}"#;
+        memo.remember_line(idless, "bounded", &answer("null"));
+        assert_eq!(memo.recall_line(idless), Some(("bounded", answer("null"))));
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]

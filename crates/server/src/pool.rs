@@ -59,12 +59,13 @@ pub struct Job {
     /// When the job stops being worth starting (`None`: no deadline).
     pub deadline: Option<Instant>,
     /// The response-memo key of the request (`None`: not memoisable).  A
-    /// successful result is stored under it so byte-identical repeats are
+    /// successful result is stored under it so repeats of the command are
     /// answered on the reader thread without re-entering the pool.
     pub memo_key: Option<String>,
     /// The raw request line, carried only when the request is memoisable:
     /// a successful response line is stored in the line memo under it so
-    /// byte-identical repeats skip even the frame parse.
+    /// repeats of the line under any canonical id skip even the frame
+    /// parse.
     pub line: Option<String>,
     /// Where the rendered response line is sent.
     pub reply: mpsc::Sender<String>,
@@ -203,28 +204,51 @@ fn worker_loop(shared: &Shared) {
                 )
             })
         };
-        // Only a successful decision is worth replaying verbatim: errors
-        // (deadline expiries, resource limits) may resolve differently on
-        // retry, and the memo key is `None` for everything non-memoisable.
-        let rendered = response.render();
-        if let Some(key) = job.memo_key {
-            if response.get("ok").and_then(Value::as_bool) == Some(true) {
-                if let Some(result) = response.get("result") {
-                    crate::memo::ResponseMemo::global().store(key, result);
-                }
-                if let Some(line) = job.line {
-                    crate::memo::LineMemo::global().store(
-                        line,
-                        job.request.command.verb(),
-                        rendered.clone(),
-                    );
-                }
-            }
-        }
+        let rendered = settle(
+            &job.request,
+            job.memo_key,
+            job.line.as_deref(),
+            response,
+            crate::memo::ResponseMemo::global(),
+            crate::memo::LineMemo::global(),
+        );
         // A closed reply channel just means the client went away.
         let _ = job.reply.send(rendered);
         shared.stats.record_retired();
     }
+}
+
+/// Render a finished job's response, memoising it when it is a successful
+/// memoisable decision.  Only success is worth replaying: errors (deadline
+/// expiries, resource limits) may resolve differently on retry, and the
+/// memo key is `None` for everything non-memoisable.
+///
+/// One stored answer per command: two pipelined lines of one command can
+/// both be computed, and their results differ in counters such as
+/// `containment_cache_hits`.  The memos keep the first result stored, and
+/// a later completion answers — and seeds the line memo — from it, so
+/// both memos and every answer agree.
+fn settle(
+    request: &Request,
+    memo_key: Option<String>,
+    line: Option<&str>,
+    mut response: Value,
+    memo: &crate::memo::ResponseMemo,
+    line_memo: &crate::memo::LineMemo,
+) -> String {
+    let succeeded = response.get("ok").and_then(Value::as_bool) == Some(true);
+    let Some(key) = memo_key.filter(|_| succeeded) else {
+        return response.render();
+    };
+    let verb = request.command.verb();
+    if let Some(resident) = response.get("result").and_then(|r| memo.store(key, r)) {
+        response = ok_response(&request.id, verb, resident);
+    }
+    let rendered = response.render();
+    if let Some(line) = line {
+        line_memo.remember_line(line, verb, &rendered);
+    }
+    rendered
 }
 
 fn deadline_error(id: &Option<Value>) -> Value {
@@ -471,5 +495,44 @@ mod tests {
             response.get("error").unwrap().get("code").unwrap().as_str(),
             Some("deadline_exceeded")
         );
+    }
+
+    #[test]
+    fn a_second_completion_of_one_command_answers_with_the_first_result() {
+        use crate::memo::{memo_key, LineMemo, ResponseMemo};
+        let (memo, line_memo) = (ResponseMemo::new(), LineMemo::new());
+        let line = |id: u32| {
+            format!(
+                r#"{{"id":{id},"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2}}"#
+            )
+        };
+        let request = |id: u32| {
+            let value = crate::json::parse(&line(id)).unwrap();
+            crate::protocol::parse_request(&value, true).unwrap()
+        };
+        // Two pipelined lines of one command, both computed, with results
+        // that differ the way a second run's cache counters do.
+        let completions = [(1, 0.0), (2, 4.0)].map(|(id, hits)| {
+            let request = request(id);
+            let response = ok_response(&request.id, "bounded", Value::num(hits));
+            settle(
+                &request,
+                memo_key(&request.command),
+                Some(&line(id)),
+                response,
+                &memo,
+                &line_memo,
+            )
+        });
+        let first = ok_response(&Some(Value::num(1.0)), "bounded", Value::num(0.0)).render();
+        let second = ok_response(&Some(Value::num(2.0)), "bounded", Value::num(0.0)).render();
+        assert_eq!(completions, [first, second]);
+        assert_eq!(
+            memo.lookup(&memo_key(&request(3).command).unwrap()),
+            Some(Value::num(0.0))
+        );
+        let third = ok_response(&Some(Value::num(3.0)), "bounded", Value::num(0.0)).render();
+        assert_eq!(line_memo.recall_line(&line(3)), Some(("bounded", third)));
+        assert_eq!(line_memo.len(), 1);
     }
 }

@@ -28,8 +28,8 @@
 //! *not* byte-deterministic in general.  It **is** byte-deterministic for
 //! streams of memoisable decision verbs replayed against one warm server:
 //! the first replay populates the text-level memo layers, and the second
-//! replay's byte-identical request lines are answered from the line memo —
-//! stored bytes, stored `micros` and all.  `tests/server_soak.rs` pins
+//! replay's request lines are answered from the line memo — stored bytes,
+//! stored `micros` and all.  `tests/server_soak.rs` pins
 //! exactly that property, and that a replay through a router answers with
 //! the same bytes; [`response_digest`] is the order-insensitive
 //! fingerprint it and the `nonrec-replay` bin compare.

@@ -481,15 +481,15 @@ fn dispatch_frame(
     if let Some(recorder) = &config.record {
         recorder.record(line);
     }
-    // Byte-identical repeats of proven-memoisable request lines are
-    // answered before the frame is even parsed: the line memo only ever
-    // holds lines whose parse, key, and successful execution happened on
-    // an earlier pass (see `memo::LineMemo`), so replaying the stored
-    // response is sound — and it is what lets a pipelined warm drain run
-    // at hash-lookup speed.
+    // Repeats of proven-memoisable request lines — byte-identical after
+    // their id — are answered before the frame is even parsed: the line
+    // memo only ever holds lines whose parse, key, and successful
+    // execution happened earlier (see `memo::LineMemo`), so replaying the
+    // stored response under this line's id is sound — and it is what lets
+    // a warm drain run at hash-lookup speed.
     {
         let start = Instant::now();
-        if let Some((verb, response)) = crate::memo::LineMemo::global().lookup(line) {
+        if let Some((verb, response)) = crate::memo::LineMemo::global().recall_line(line) {
             stats.record_memo_hit();
             DecisionCache::global().record_memoised_hit();
             stats.record_completion(verb, start.elapsed().as_micros(), true);
@@ -557,13 +557,13 @@ fn dispatch_decision(
     stats: &ServerStats,
     config: &ServerConfig,
 ) {
-    // Repeats of pure decision requests that differ only in framing (a new
-    // id, re-ordered fields) still hit the command-keyed response memo
-    // right here on the reader thread: no pool dispatch, no re-parse of
-    // the programs, no canonicalisation.  The recall is credited to the
+    // Repeats of pure decision requests that differ in framing (re-ordered
+    // fields, a non-canonical id) still hit the command-keyed response
+    // memo right here on the reader thread: no pool dispatch, no re-parse
+    // of the programs, no canonicalisation.  The recall is credited to the
     // decision cache's hit counter, since the decision was genuinely
     // remembered rather than recomputed — and the rendered response seeds
-    // the line memo so the *next* byte-identical repeat skips the frame
+    // the line memo so the *next* repeat of this line skips the frame
     // parse too.
     let memo_key = crate::memo::memo_key(&request.command);
     if let Some(key) = &memo_key {
@@ -574,7 +574,7 @@ fn dispatch_decision(
             let verb = request.command.verb();
             stats.record_completion(verb, start.elapsed().as_micros(), true);
             let rendered = ok_response(&request.id, verb, result).render();
-            crate::memo::LineMemo::global().store(line.to_string(), verb, rendered.clone());
+            crate::memo::LineMemo::global().remember_line(line, verb, &rendered);
             let _ = reply.send(rendered);
             return;
         }

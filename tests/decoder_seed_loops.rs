@@ -8,13 +8,19 @@
 //! bad frame with (`invalid_json`, `bad_request`) or decode to a request
 //! that survives a render → parse round trip unchanged.  A panic anywhere
 //! fails the loop with the offending input.
+//!
+//! A second loop gives the same lines hostile leading ids and checks the
+//! server's line memo key (`memo::split_line_id`) against the parse path.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
-use server::json;
-use server::protocol::parse_request;
+
+use server::json::{self, Value};
+use server::memo::{memo_key, split_line_id};
+use server::protocol::{ok_response, parse_request};
 
 const SEED: u64 = 601;
 const MUTANTS: usize = 80_000;
@@ -119,5 +125,119 @@ fn mutated_request_frames_decode_or_fail_with_a_frame_code() {
     assert!(
         invalid_json > 0 && bad_request > 0 && decoded > 0,
         "invalid_json {invalid_json}, bad_request {bad_request}, decoded {decoded}"
+    );
+}
+
+/// Ids a hostile client may lead a line with: every form the response
+/// writer would *not* render back verbatim, beside canonical ones so the
+/// mutants also meet stored keys under a splice.
+const LEADING_IDS: &[&str] = &[
+    "1.0",
+    "-1",
+    "007",
+    "1e2",
+    "1234567890123456",
+    "null",
+    "true",
+    "{}",
+    r#""a\"b""#,
+    r#""\u0041""#,
+    "\"a\tb\"",
+    "0",
+    "42",
+    "999999999999999",
+    r#""x""#,
+    r#""""#,
+    r#""é✓""#,
+];
+
+const ID_PREFIX: &str = "{\"id\":";
+
+/// A mutant of `line` (which leads `{"id":<token>,`) with a hostile leading
+/// id or id layout.
+fn hostile_id_mutant(line: &str, corpus: &[Vec<u8>], rng: &mut StdRng) -> String {
+    let body = line
+        .strip_prefix(ID_PREFIX)
+        .expect("workload lines lead with their id");
+    let (token, rest) = body.split_at(body.find(',').expect("a field follows the id"));
+    let open = &rest[..rest.len() - 1];
+    let id = LEADING_IDS[rng.random_range(0..LEADING_IDS.len())];
+    match rng.random_range(0..7u32) {
+        0 | 1 => format!("{ID_PREFIX}{id}{rest}"),
+        // The SplitMix mutator aimed at the id token alone.
+        2 => {
+            let token = mutate(token.as_bytes(), corpus, rng);
+            format!("{ID_PREFIX}{}{rest}", String::from_utf8_lossy(&token))
+        }
+        3 => format!("{{\"id\": {id}{rest}"),
+        // A duplicate later `id`.
+        4 => format!("{ID_PREFIX}{token}{open},\"id\":{id}}}"),
+        // An id-less line with a later `id`.
+        5 => format!("{{{},\"id\":{id}}}", &open[1..]),
+        // A line starting with `,`: the shape of a cut key.
+        _ => rest.to_string(),
+    }
+}
+
+/// The server's line memo keys a line on its bytes after a canonical
+/// leading id and splices the id back into the stored response.  For every
+/// mutant whose key equals a stored base line's key, the parse path must
+/// decode the same memoisable command and echo exactly the spliced token.
+#[test]
+fn line_memo_splices_only_ids_the_parse_path_echoes_verbatim() {
+    let corpus = corpus();
+    let lines: Vec<String> = corpus
+        .iter()
+        .map(|line| String::from_utf8(line.clone()).expect("workload lines are UTF-8"))
+        .collect();
+    // Stored keys: each base line, and its id-less form, as `remember_line`
+    // would store them.
+    let mut stored: HashMap<String, String> = HashMap::new();
+    for line in &lines {
+        let comma = line.find(',').expect("a field follows the id");
+        for base in [line.clone(), format!("{{{}", &line[comma + 1..])] {
+            let (token, key) = split_line_id(&base).expect("base lines start with `{`");
+            let request = parse_request(&json::parse(&base).unwrap(), true).unwrap();
+            let rendered = ok_response(&request.id, request.command.verb(), Value::Null).render();
+            assert!(
+                rendered.starts_with(&format!("{ID_PREFIX}{token},")),
+                "{base}"
+            );
+            let command = memo_key(&request.command).expect("workload requests are memoisable");
+            stored.insert(key.to_string(), command);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let (mut spliced, mut declined) = (0usize, 0usize);
+    for i in 0..MUTANTS / 4 {
+        let line = hostile_id_mutant(&lines[i % lines.len()], &corpus, &mut rng);
+        let Some((token, key)) = split_line_id(&line) else {
+            assert!(line.starts_with(','), "only a cut key is never looked up");
+            continue;
+        };
+        if token == "null" && line.starts_with(ID_PREFIX) {
+            declined += 1;
+        }
+        let Some(command) = stored.get(key) else {
+            continue;
+        };
+        spliced += 1;
+        let value = json::parse(&line).unwrap_or_else(|e| panic!("mutant {i} {line}: {e}"));
+        let request =
+            parse_request(&value, true).unwrap_or_else(|e| panic!("mutant {i} {line}: {e:?}"));
+        assert_eq!(
+            memo_key(&request.command).as_ref(),
+            Some(command),
+            "mutant {i} {line}"
+        );
+        let rendered = ok_response(&request.id, request.command.verb(), Value::Null).render();
+        assert!(
+            rendered.starts_with(&format!("{ID_PREFIX}{token},")),
+            "mutant {i} {line}: the parse path echoes {rendered}, the splice {token}"
+        );
+    }
+    assert!(
+        spliced > 0 && declined > 0,
+        "spliced {spliced}, declined {declined}"
     );
 }

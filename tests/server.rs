@@ -833,6 +833,73 @@ fn routed_responses_are_byte_identical_to_direct_ones() {
     assert_eq!(codes, ["invalid_json", "bad_request", "parse_error"]);
 }
 
+/// Warm traffic with a unique id on every line is answered from the line
+/// memo, which keys on the line after its leading id: a warm-up pass of
+/// the workload stream stores one line entry per distinct command, and a
+/// second pass under fresh ids answers every line with its warm-up bytes
+/// after the id.  Non-canonical ids miss it and read exactly as the parse
+/// path renders them.
+#[test]
+fn unique_id_warm_traffic_is_served_by_the_line_memo() {
+    let server = ServerProc::spawn(&[]);
+    let mut client = server.client();
+    let spec = workload::WorkloadSpec {
+        requests: 64,
+        ..workload::WorkloadSpec::default()
+    };
+    let lines: Vec<String> = workload::generate(&spec, 601)
+        .into_iter()
+        .map(|request| request.line)
+        .collect();
+    let distinct: std::collections::HashSet<String> = lines
+        .iter()
+        .map(|line| {
+            let request = protocol::parse_request(&json_value(line), true).expect("request");
+            server::memo::memo_key(&request.command).expect("memoisable")
+        })
+        .collect();
+    let mut line_entries = || {
+        let stats = client.request(&protocol::stats_request()).expect("stats");
+        stats
+            .get("result")
+            .and_then(|r| r.get("server"))
+            .and_then(|s| s.get("memo_line_entries"))
+            .and_then(Value::as_u64)
+            .expect("memo_line_entries")
+    };
+    let mut warm_client = server.client();
+    let warm: Vec<String> = lines
+        .iter()
+        .map(|line| warm_client.request_line(line).expect("warm-up answer"))
+        .collect();
+    assert_eq!(line_entries(), distinct.len() as u64);
+    assert!(distinct.len() < lines.len(), "the stream repeats commands");
+
+    // The line after its id, and a response after its id.
+    let rest = |line: &str| line[line.find(',').expect("a field follows the id")..].to_string();
+    let tail =
+        |response: &str| response[response.find(",\"ok\":").expect("ok field")..].to_string();
+    for (i, (line, warm)) in lines.iter().zip(&warm).enumerate() {
+        let id = 1000 + i;
+        let answer = warm_client
+            .request_line(&format!("{{\"id\":{id}{}", rest(line)))
+            .expect("fresh-id answer");
+        assert!(warm.contains("\"ok\":true"), "{warm}");
+        assert_eq!(answer, format!("{{\"id\":{id}{}", tail(warm)), "{line}");
+    }
+    for (id, echoed) in [("1.0", "1"), (r#""\u0041""#, r#""A""#)] {
+        let answer = warm_client
+            .request_line(&format!("{{\"id\":{id}{}", rest(&lines[0])))
+            .expect("non-canonical answer");
+        assert_eq!(answer, format!("{{\"id\":{echoed}{}", tail(&warm[0])));
+    }
+    assert_eq!(
+        line_entries(),
+        distinct.len() as u64,
+        "neither fresh nor non-canonical ids store a line entry"
+    );
+}
+
 fn json_value(text: &str) -> Value {
     server::json::parse(text).expect("valid JSON")
 }

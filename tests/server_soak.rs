@@ -521,13 +521,8 @@ fn routed_replay_answers_like_a_direct_replay() {
 
     let shard = ServerProc::spawn(&["--workers", "2", "--queue", "4096"]);
     let router = RouterProc::spawn(&[shard.addr()], &[]);
-    // The first pass goes one round trip at a time, so each distinct
-    // command is computed once and every later line meets its stored
-    // result.  (Pipelined, two lines of one command can both be computed,
-    // and their `containment_cache_hits` differ.)
-    let mut direct = shard.client();
-    for record in &captured {
-        let response = direct.request_line(&record.line).expect("direct pass 1");
+    let first = replay(shard.addr(), &captured, false).expect("direct pass 1");
+    for response in &first {
         assert!(response.contains("\"ok\":true"), "{response}");
     }
     let second = replay(shard.addr(), &captured, false).expect("direct pass 2");

@@ -16,6 +16,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use crate::json::{self, Value};
 
@@ -34,6 +35,12 @@ impl Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
         })
+    }
+
+    /// Bound how long a read waits for the server (`None`: forever), so a
+    /// lost answer fails the caller with an error instead of hanging it.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.writer.set_read_timeout(timeout)
     }
 
     /// Send one request value, wait for its one-line response, parse it.

@@ -110,6 +110,18 @@ pub fn split_line_id(line: &str) -> Option<(&str, &str)> {
     Some(("null", line))
 }
 
+/// `{"id":` + `id` + `tail`: a response (or request) line with `id` spliced
+/// in front of the bytes [`split_line_id`] cut after the old one.  The one
+/// splice of the line memo's hits and of both directions of
+/// `nonrec-route`.
+pub fn splice_id(id: &str, tail: &str) -> String {
+    let mut line = String::with_capacity(ID_PREFIX.len() + id.len() + tail.len());
+    line.push_str(ID_PREFIX);
+    line.push_str(id);
+    line.push_str(tail);
+    line
+}
+
 /// The length of the canonical id token `bytes` starts with, or 0.
 fn canonical_id_len(bytes: &[u8]) -> usize {
     match bytes.first() {
@@ -235,9 +247,10 @@ impl ResponseMemo {
 /// Which traffic it serves: every warm repeat whose id is canonical — the
 /// repository benchmark's unique-id `warm_zipf` stream, id-less pipelined
 /// bursts (E14), `nonrec-replay` passes after the first, and the lines
-/// `nonrec-route` forwards: it swaps a client's leading id for an integer
-/// router id, which is canonical.  (It appends its id to an id-less line,
-/// and such a line meets the [`ResponseMemo`] instead.)  With
+/// `nonrec-route` forwards: it installs an integer router id, which is
+/// canonical, as the first field of every line, in place of a client's
+/// canonical leading id and in front of any other line's fields, so an
+/// id-less routed line keys like a direct one.  With
 /// lookup and store stubbed out, the serve bench's single-client
 /// pipelined warm phase (`NONREC_BENCH_FAST=1`, 2 cores) fell from
 /// 306k–348k to 65k–73k rps, and its E14 gate (pipelined ≥ 5× round trip)
@@ -298,11 +311,7 @@ impl LineMemo {
         let (id, key) = split_line_id(line)?;
         let mut memo = self.lock();
         let (verb, tail) = memo.get(key)?;
-        let mut response = String::with_capacity(ID_PREFIX.len() + id.len() + tail.len());
-        response.push_str(ID_PREFIX);
-        response.push_str(id);
-        response.push_str(tail);
-        Some((*verb, response))
+        Some((*verb, splice_id(id, tail)))
     }
 
     /// Store the rendered response of a successfully executed, memoisable

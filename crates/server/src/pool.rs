@@ -264,9 +264,11 @@ fn deadline_error(id: &Option<Value>) -> Value {
 /// Execute a request (including `stats` and one level of `batch`) and
 /// render the full response object, recording per-verb latency.  The
 /// deadline is re-checked **between** batch items — a single decision
-/// already running is bounded by its `max_pairs` budget instead, and an
-/// expired batch answers `deadline_exceeded` for its remaining items
-/// rather than burning a worker on answers nobody is waiting for.
+/// already running is not preempted, and nothing bounds it as a whole
+/// (its `max_pairs` budget bounds only the containment search; see the
+/// module docs) — and an expired batch answers `deadline_exceeded` for
+/// its remaining items rather than burning a worker on answers nobody is
+/// waiting for.
 pub fn respond(request: &Request, stats: &ServerStats, deadline: Option<Instant>) -> Value {
     let start = Instant::now();
     match &request.command {

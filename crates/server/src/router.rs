@@ -12,11 +12,13 @@
 //!   is memoised per program text (the 4096 most recently routed texts),
 //!   so a repeated program is neither parsed nor canonicalised again;
 //! * requests are forwarded over one **persistent pipelined connection**
-//!   per backend, shared by every client, with the request `id` rewritten
-//!   to a router-global token and restored on the way back (responses
-//!   merge by id, so out-of-order completion is fine).  A success response
-//!   is forwarded byte for byte with only its leading `id` spliced; error
-//!   responses and anything unexpected are parsed and re-rendered;
+//!   per backend, shared by every client, with a router-global `id`
+//!   installed as the line's first field and the client's `id` restored on
+//!   the way back (responses merge by id, so out-of-order completion is
+//!   fine).  Both directions forward bytes through the line memo's id
+//!   splice ([`splice_id`]): a request is never re-rendered, and a response
+//!   — success or error — reaches the client as the shard wrote it, with
+//!   only its leading `id` changed;
 //! * when a backend dies, its in-flight requests are **requeued** to a
 //!   live shard — the client sees a slower answer, not a lost one.  Only
 //!   when *no* shard can take a request does the router answer with its
@@ -39,8 +41,9 @@ use nonrec_equivalence::lru::Lru;
 use nonrec_equivalence::ProgramKey;
 
 use crate::json::{self, obj, Value};
+use crate::memo::{splice_id, split_line_id};
 use crate::protocol::{error_response, ok_response, WireError, ADMIN_VERBS};
-use crate::server::{line_too_long_response, serve_connection, Frame};
+use crate::server::{line_too_long_response, serve_connection, Frame, MAX_LINE_BYTES};
 
 /// The router's own stable error code: no shard could take the request.
 /// Distinct from `busy` (a *backend's* queue is full — forwarded verbatim):
@@ -79,9 +82,10 @@ struct Pending {
     /// Where the (id-restored) response goes: the owning client
     /// connection's writer channel.
     client: mpsc::Sender<String>,
-    /// The client's original `id`, restored on the way back.
-    original_id: Option<Value>,
-    /// The rendered request line (newline included) with the router id
+    /// The client's `id`, rendered (`null` when it sent none), spliced into
+    /// the response on the way back.
+    client_id: String,
+    /// The forwarded request line (newline included) with the router id
     /// installed — kept so a backend death can re-send the same bytes on
     /// another shard.
     line: Arc<str>,
@@ -304,16 +308,24 @@ fn route_text(value: &Value) -> Option<&str> {
         })
 }
 
-/// Replace (or insert) the request's `id` field, returning the old value.
-fn swap_id(value: &mut Value, new_id: Value) -> Option<Value> {
-    let Value::Obj(fields) = value else {
-        return None;
+/// The client's request line, a JSON object, with the router id installed
+/// as its first field, newline included.  A line [`split_line_id`] cuts
+/// keeps its bytes from the comma after its own id; any other line keeps
+/// its bytes after the opening `{`, so a later or non-canonical `id` it
+/// carries loses to the router's under the first-wins field lookup.  The
+/// shard's line memo keys the result as it keys a direct client's line.
+fn forwarded_line(line: &str, router_id: u64) -> String {
+    let router_id = router_id.to_string();
+    let mut forwarded = match split_line_id(line) {
+        Some((_, tail)) if tail.starts_with(',') => splice_id(&router_id, tail),
+        _ => {
+            let mut head = splice_id(&router_id, ",");
+            head.push_str(&line.trim_start()[1..]);
+            head
+        }
     };
-    if let Some(slot) = fields.iter_mut().find(|(key, _)| key == "id") {
-        return Some(std::mem::replace(&mut slot.1, new_id));
-    }
-    fields.push(("id".to_string(), new_id));
-    None
+    forwarded.push('\n');
+    forwarded
 }
 
 /// Route one frame: answer `stats`, over-long lines and malformed input
@@ -328,7 +340,7 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
             return;
         }
     };
-    let mut value = match json::parse(line) {
+    let value = match json::parse(line) {
         Ok(value) => value,
         Err(e) => {
             shared.counters().invalid_json += 1;
@@ -339,33 +351,31 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
         }
     };
     let id = crate::protocol::request_id(&value);
-    let Some(op) = value.get("op").and_then(Value::as_str) else {
+    let reject = |message: String| {
         shared.counters().bad_request += 1;
-        let _ = reply.send(
-            error_response(
-                &id,
-                &WireError::bad_request("missing or non-string field `op`"),
-            )
-            .render(),
-        );
-        return;
+        let _ = reply.send(error_response(&id, &WireError::bad_request(message)).render());
+    };
+    let Some(op) = value.get("op").and_then(Value::as_str) else {
+        return reject("missing or non-string field `op`".to_string());
     };
     if op == "stats" {
         let _ = reply.send(ok_response(&id, "stats", stats_json(shared)).render());
         return;
     }
     if ADMIN_VERBS.contains(&op) {
-        shared.counters().bad_request += 1;
-        let _ = reply.send(
-            error_response(
-                &id,
-                &WireError::bad_request(format!(
-                    "`{op}` is per-shard state; address the shard's nonrec-serve directly"
-                )),
-            )
-            .render(),
-        );
-        return;
+        return reject(format!(
+            "`{op}` is per-shard state; address the shard's nonrec-serve directly"
+        ));
+    }
+    let router_id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+    let forwarded = forwarded_line(line, router_id);
+    if forwarded.len() > MAX_LINE_BYTES + 1 {
+        // The client's line fit the cap, its router id does not: the shard
+        // would answer `bad_request` with id null, which no one can claim.
+        return reject(format!(
+            "request line exceeds the size limit once the router installs its id \
+             (limit {MAX_LINE_BYTES} bytes)"
+        ));
     }
     let shard = match route_text(&value) {
         Some(text) => (shared.route_memo.hash(text) % shared.backends.len() as u64) as usize,
@@ -373,17 +383,13 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
         // can answer them, so spread the load.
         None => shared.round_robin.fetch_add(1, Ordering::Relaxed) % shared.backends.len(),
     };
-    let router_id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let original_id = swap_id(&mut value, Value::num(router_id as f64));
-    let mut line = value.render();
-    line.push('\n');
     dispatch(
         shared,
         router_id,
         Pending {
             client: reply.clone(),
-            original_id,
-            line: line.into(),
+            client_id: id.unwrap_or(Value::Null).render(),
+            line: forwarded.into(),
             shard,
             generation: u64::MAX,
             attempts: 0,
@@ -431,7 +437,7 @@ fn answer_unavailable(shared: &Arc<Shared>, pending: &Pending) {
     shared.counters().unavailable += 1;
     let _ = pending.client.send(
         error_response(
-            &pending.original_id,
+            &json::parse(&pending.client_id).ok(),
             &WireError::new(
                 SHARD_UNAVAILABLE,
                 format!(
@@ -508,42 +514,17 @@ fn connect_backend(shared: &Arc<Shared>, shard: usize, slot: &mut Slot) -> Resul
     Ok(())
 }
 
-/// The head every spliceable response starts with: `ok_response` renders
-/// the `id` first, and the router's ids are plain integers.
-const SPLICE_HEAD: &str = "{\"id\":";
-
-/// A backend response the router forwards without parsing it: a valid JSON
-/// line `{"id":<router id>,"ok":true,...`.  Returns the router id and the
-/// bytes after it, which go to the client unchanged.  `None` sends the line
-/// down the parse path: every error (so `busy` is counted), an id that is
-/// not up to 15 plain digits (so it reads the same as a JSON number), and
-/// anything that is not valid JSON.
-fn spliceable(line: &str) -> Option<(u64, &str)> {
-    let rest = line.strip_prefix(SPLICE_HEAD)?;
-    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-    let tail = &rest[digits..];
-    if !(1..=15).contains(&digits) || !tail.starts_with(",\"ok\":true,") || !json::is_valid(line) {
-        return None;
-    }
-    Some((rest[..digits].parse().ok()?, tail))
+/// A shard's response line cut into its router id and its bytes after it,
+/// or `None` when it does not lead with an integer id.
+fn cut_router_id(line: &str) -> Option<(u64, &str)> {
+    let (id, tail) = split_line_id(line)?;
+    Some((id.parse().ok()?, tail))
 }
 
-/// A spliceable response's forwarded bytes: the head, the client's id,
-/// then the backend's bytes after its router id.
-fn splice(client_id: &Value, tail: &str) -> String {
-    let mut response = String::with_capacity(SPLICE_HEAD.len() + tail.len() + 16);
-    response.push_str(SPLICE_HEAD);
-    client_id.write(&mut response);
-    response.push_str(tail);
-    response
-}
-
-/// A backend response on its way to the client.
-enum Answer<'a> {
-    /// The bytes after a spliceable response's id (see [`spliceable`]).
-    Splice(&'a str),
-    /// Any other response, parsed.
-    Parsed(Value),
+/// Whether a shard's response, cut after its id, is a `busy` error: the
+/// shard renders `ok`, `error` and its `code` first, in that order.
+fn is_busy(tail: &str) -> bool {
+    tail.starts_with(",\"ok\":false,\"error\":{\"code\":\"busy\",")
 }
 
 /// The per-backend-connection reader: match responses to pending entries by
@@ -563,35 +544,22 @@ fn backend_read_loop(shared: &Arc<Shared>, shard: usize, generation: u64, stream
         if trimmed.is_empty() {
             continue;
         }
-        let (router_id, answer) = match spliceable(trimmed) {
-            Some((router_id, tail)) => (router_id, Answer::Splice(tail)),
-            None => {
-                let Ok(value) = json::parse(trimmed) else {
-                    // A backend speaking garbage is indistinguishable from
-                    // a dead one for the requests in flight; drop the
-                    // connection and let the sweep requeue them.
-                    break;
-                };
-                let Some(router_id) = value.get("id").and_then(Value::as_u64) else {
-                    // Unattributable frame (e.g. the backend's one-line
-                    // connection-limit rejection carries id null); skip it
-                    // — if the backend then closes, the sweep handles the
-                    // fallout.
-                    continue;
-                };
-                (router_id, Answer::Parsed(value))
-            }
+        if !json::is_valid(trimmed) {
+            // A backend speaking garbage is indistinguishable from a dead
+            // one for the requests in flight; drop the connection and let
+            // the sweep requeue them.
+            break;
+        }
+        let Some((router_id, tail)) = cut_router_id(trimmed) else {
+            // Unattributable frame (e.g. the backend's one-line
+            // connection-limit rejection carries id null); skip it — if
+            // the backend then closes, the sweep handles the fallout.
+            continue;
         };
         let Some(pending) = shared.pending().remove(&router_id) else {
             continue;
         };
-        let busy = match &answer {
-            Answer::Splice(_) => false,
-            Answer::Parsed(value) => {
-                let code = value.get("error").and_then(|e| e.get("code"));
-                code.and_then(Value::as_str) == Some("busy")
-            }
-        };
+        let busy = is_busy(tail);
         {
             let mut counters = shared.counters();
             counters.shards[shard].replies += 1;
@@ -602,15 +570,7 @@ fn backend_read_loop(shared: &Arc<Shared>, shard: usize, generation: u64, stream
                 counters.shards[shard].busy += 1;
             }
         }
-        let client_id = pending.original_id.unwrap_or(Value::Null);
-        let response = match answer {
-            Answer::Splice(tail) => splice(&client_id, tail),
-            Answer::Parsed(mut value) => {
-                swap_id(&mut value, client_id);
-                value.render()
-            }
-        };
-        let _ = pending.client.send(response);
+        let _ = pending.client.send(splice_id(&pending.client_id, tail));
     }
     shared.counters().shards[shard].disconnects += 1;
     {
@@ -693,6 +653,9 @@ fn stats_json(shared: &Arc<Shared>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::parse_request;
+    use rng::rngs::StdRng;
+    use rng::{Rng, SeedableRng};
     use std::io::Read;
 
     #[test]
@@ -735,8 +698,49 @@ mod tests {
         assert_eq!(memo.lock().get(text), None, "the oldest text is shed");
     }
 
+    /// Bytes that steer mutants toward the JSON grammar's branches.
+    const JSON_BYTES: &[u8] = b"{}[]:,\"\\ -+.0123456789eEtrufalsn";
+
+    /// One to three SplitMix byte edits of `line`, half of them in its
+    /// first 24 bytes, where the id splice looks.
+    fn mutant(line: &str, rng: &mut StdRng) -> String {
+        let mut bytes = line.as_bytes().to_vec();
+        for _ in 0..rng.random_range(1..=3usize) {
+            let end = if rng.random_bool(0.5) {
+                24
+            } else {
+                bytes.len()
+            };
+            let at = rng.random_range(0..=end.min(bytes.len()));
+            let byte = if rng.random_bool(0.5) {
+                JSON_BYTES[rng.random_range(0..JSON_BYTES.len())]
+            } else {
+                rng.random_range(0..256u32) as u8
+            };
+            match rng.random_range(0..4u32) {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => drop(bytes.remove(at)),
+                2 if at < bytes.len() => bytes[at] ^= 1 << rng.random_range(0..8u32),
+                _ => bytes.insert(at, byte),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// The parse-path reference for both splices: `value` with its first
+    /// `id` set to `id`, or with `id` inserted first when it has none.
+    fn with_first_id(mut value: Value, id: Value) -> Value {
+        if let Value::Obj(fields) = &mut value {
+            match fields.iter_mut().find(|(key, _)| key == "id") {
+                Some(slot) => slot.1 = id,
+                None => fields.insert(0, ("id".to_string(), id)),
+            }
+        }
+        value
+    }
+
     /// Response lines as a shard renders them, under router ids: successes
-    /// of several verbs and the errors the router must count.
+    /// of several verbs and the errors the router forwards and counts.
     fn backend_responses() -> Vec<String> {
         let stats = crate::stats::ServerStats::new();
         let requests = [
@@ -756,9 +760,9 @@ mod tests {
         let mut lines: Vec<String> = requests
             .into_iter()
             .enumerate()
-            .map(|(i, mut request)| {
-                swap_id(&mut request, Value::num(1000.0 + i as f64));
-                let request = crate::protocol::parse_request(&request, true).unwrap();
+            .map(|(i, request)| {
+                let request = with_first_id(request, Value::num(1000.0 + i as f64));
+                let request = parse_request(&request, true).unwrap();
                 crate::pool::respond(&request, &stats, None).render()
             })
             .collect();
@@ -774,12 +778,7 @@ mod tests {
 
     #[test]
     fn splicing_matches_parse_swap_render_on_every_mutant() {
-        use rng::rngs::StdRng;
-        use rng::{Rng, SeedableRng};
-
         const MUTANTS: usize = 50_000;
-        /// Bytes that steer mutants toward the JSON grammar's branches.
-        const JSON_BYTES: &[u8] = b"{}[]:,\"\\ -+.0123456789eEtrufalsn";
         let client_ids = [
             Value::str("t\"1\\\n-é✓"),
             Value::num(42.0),
@@ -787,90 +786,169 @@ mod tests {
             Value::Null,
             json::parse(r#"{"a":[1,"b"]}"#).unwrap(),
         ];
-        // The reference: the parse path of `backend_read_loop`.
-        let reparsed = |line: &str, client_id: &Value| -> Option<(u64, String)> {
-            let mut value = json::parse(line).ok()?;
+        /// The byte path of `backend_read_loop`: valid, led by a router id.
+        fn cut(line: &str) -> Option<(u64, &str)> {
+            cut_router_id(line).filter(|_| json::is_valid(line))
+        }
+        // The reference: the parsed line, its router id, and its render
+        // with the client's id set.
+        let reparsed = |line: &str, client_id: &Value| -> Option<(Value, u64, String)> {
+            let value = json::parse(line).ok()?;
             let router_id = value.get("id").and_then(Value::as_u64)?;
-            swap_id(&mut value, client_id.clone());
-            Some((router_id, value.render()))
+            let rendered = with_first_id(value.clone(), client_id.clone()).render();
+            Some((value, router_id, rendered))
+        };
+        let code = |value: &Value| -> Option<String> {
+            let code = value.get("error")?.get("code")?.as_str()?;
+            Some(code.to_string())
         };
 
         let lines = backend_responses();
         let successes = lines.iter().filter(|l| l.contains(r#""ok":true"#)).count();
         assert_eq!(successes, 3, "{lines:?}");
         for line in &lines {
-            // Unmutated: successes splice to exactly today's re-render,
-            // errors take the parse path.
+            // Unmutated, every line splices to exactly the re-render, and
+            // only the `busy` line counts as busy.
             let client_id = &client_ids[0];
-            match spliceable(line) {
-                Some((router_id, tail)) => {
-                    assert_eq!(
-                        Some((router_id, splice(client_id, tail))),
-                        reparsed(line, client_id)
-                    );
-                }
-                None => assert!(line.contains(r#""ok":false"#), "{line}"),
-            }
+            let (router_id, tail) = cut(line).unwrap_or_else(|| panic!("{line}"));
+            let (value, expected_id, expected) = reparsed(line, client_id).unwrap();
+            assert_eq!(router_id, expected_id, "{line}");
+            assert_eq!(splice_id(&client_id.render(), tail), expected, "{line}");
+            assert_eq!(
+                is_busy(tail),
+                code(&value).as_deref() == Some("busy"),
+                "{line}"
+            );
         }
 
         let mut rng = StdRng::seed_from_u64(601);
-        let mut spliced = 0;
+        let (mut spliced, mut busy) = (0, 0);
         for n in 0..MUTANTS {
-            let mut bytes = lines[rng.random_range(0..lines.len())].clone().into_bytes();
-            for _ in 0..rng.random_range(1..=3usize) {
-                // Half the edits land in the head, where the fast path looks.
-                let end = if rng.random_bool(0.5) {
-                    24
-                } else {
-                    bytes.len()
-                };
-                let at = rng.random_range(0..=end.min(bytes.len()));
-                let byte = if rng.random_bool(0.5) {
-                    JSON_BYTES[rng.random_range(0..JSON_BYTES.len())]
-                } else {
-                    rng.random_range(0..256u32) as u8
-                };
-                match rng.random_range(0..4u32) {
-                    0 if at < bytes.len() => bytes[at] = byte,
-                    1 if at < bytes.len() => drop(bytes.remove(at)),
-                    2 if at < bytes.len() => bytes[at] ^= 1 << rng.random_range(0..8u32),
-                    _ => bytes.insert(at, byte),
-                }
-            }
-            let mutant = String::from_utf8_lossy(&bytes);
+            let mutant = mutant(&lines[rng.random_range(0..lines.len())], &mut rng);
             assert_eq!(
                 json::is_valid(&mutant),
                 json::parse(&mutant).is_ok(),
                 "{mutant}"
             );
             let client_id = &client_ids[n % client_ids.len()];
-            let Some((router_id, tail)) = spliceable(&mutant) else {
+            let Some((router_id, tail)) = cut(&mutant) else {
                 continue;
             };
             spliced += 1;
-            let (expected_id, expected) = reparsed(&mutant, client_id)
+            let (value, expected_id, expected) = reparsed(&mutant, client_id)
                 .unwrap_or_else(|| panic!("spliced a line the parse path drops: {mutant}"));
             assert_eq!(router_id, expected_id, "{mutant}");
             assert_eq!(
-                json::parse(&splice(client_id, tail)).ok(),
+                json::parse(&splice_id(&client_id.render(), tail)).ok(),
                 json::parse(&expected).ok(),
                 "{mutant}"
             );
+            // The byte check never counts a line whose parsed code is not
+            // `busy`, and counts every `busy` error a shard could render.
+            let parsed_busy = code(&value).as_deref() == Some("busy");
+            if is_busy(tail) {
+                assert!(parsed_busy, "{mutant}");
+                busy += 1;
+            } else if parsed_busy {
+                let message = value.get("error").and_then(|e| e.get("message"));
+                let rendered = message.and_then(Value::as_str).map(|message| {
+                    error_response(
+                        &Some(Value::num(router_id as f64)),
+                        &WireError::new("busy", message),
+                    )
+                    .render()
+                });
+                assert_ne!(rendered.as_deref(), Some(mutant.as_str()), "{mutant}");
+            }
         }
-        // Most mutants of a success line keep its head and its validity.
+        // Most mutants of a response keep its head and its validity.
         assert!(spliced > MUTANTS / 10, "only {spliced} mutants spliced");
+        assert!(busy > 0, "no busy mutant spliced");
     }
 
     #[test]
-    fn swap_id_replaces_and_restores() {
-        let mut value = json::parse(r#"{"op":"stats","id":"mine"}"#).unwrap();
-        let old = swap_id(&mut value, Value::num(42.0));
-        assert_eq!(old.as_ref().and_then(Value::as_str), Some("mine"));
-        assert_eq!(value.get("id").unwrap().as_u64(), Some(42));
-        // And a request without an id gains one.
-        let mut value = json::parse(r#"{"op":"stats"}"#).unwrap();
-        assert!(swap_id(&mut value, Value::num(7.0)).is_none());
-        assert_eq!(value.get("id").unwrap().as_u64(), Some(7));
+    fn forwarded_lines_lead_with_the_router_id() {
+        // A canonical leading id is replaced, an id-less line gains one.
+        assert_eq!(
+            forwarded_line(r#"{"id":"mine","op":"stats"}"#, 42),
+            "{\"id\":42,\"op\":\"stats\"}\n"
+        );
+        assert_eq!(
+            forwarded_line(r#"{"op":"stats"}"#, 7),
+            "{\"id\":7,\"op\":\"stats\"}\n"
+        );
+        // Any other id stays behind the router's, which wins the lookup.
+        let forwarded = forwarded_line(r#" {"id":1.0,"op":"stats"}"#, 7);
+        assert_eq!(forwarded, "{\"id\":7,\"id\":1.0,\"op\":\"stats\"}\n");
+        let value = json::parse(&forwarded).unwrap();
+        assert_eq!(value.get("id").and_then(Value::as_u64), Some(7));
+    }
+
+    /// Every line the router forwards decodes, at the shard, as the client's
+    /// line with its first `id` replaced by the router id: SplitMix mutants
+    /// of the seed-601 workload lines, and the lines under hostile ids.
+    #[test]
+    fn forwarded_lines_decode_as_the_client_line_under_the_router_id() {
+        const MUTANTS: usize = 20_000;
+        const HOSTILE_IDS: &[&str] = &["1.0", "007", "null", "{}", r#""a\"b""#, "42", r#""x""#];
+        let spec = workload::WorkloadSpec {
+            requests: 64,
+            ..workload::WorkloadSpec::default()
+        };
+        let lines: Vec<String> = workload::generate(&spec, 601)
+            .into_iter()
+            .map(|request| request.line)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(601);
+        let mut forwarded_count = 0;
+        for n in 0..MUTANTS {
+            let base = &lines[rng.random_range(0..lines.len())];
+            let rest = &base[base.find(',').expect("a field follows the id")..];
+            let open = &rest[..rest.len() - 1];
+            let id = HOSTILE_IDS[rng.random_range(0..HOSTILE_IDS.len())];
+            let hostile = match rng.random_range(0..4u32) {
+                0 => base.clone(),
+                1 => format!("{{\"id\":{id}{rest}"),
+                // A duplicate later `id`.
+                2 => format!("{}{open},\"id\":{id}}}", &base[..base.len() - rest.len()]),
+                // An id-less line with a later `id`.
+                _ => format!("{{{},\"id\":{id}}}", &open[1..]),
+            };
+            let line = if rng.random_bool(0.5) {
+                mutant(&hostile, &mut rng)
+            } else {
+                hostile
+            };
+            // What `route_frame` forwards: an object with a string `op`
+            // that is neither `stats` nor an admin verb.
+            let Ok(value) = json::parse(&line) else {
+                continue;
+            };
+            match value.get("op").and_then(Value::as_str) {
+                Some(op) if op != "stats" && !ADMIN_VERBS.contains(&op) => {}
+                _ => continue,
+            }
+            forwarded_count += 1;
+            let router_id = 1000 + n as u64;
+            let forwarded = forwarded_line(&line, router_id);
+            let sent = json::parse(&forwarded)
+                .unwrap_or_else(|e| panic!("{line} forwards as {forwarded}: {e}"));
+            assert_eq!(
+                sent.get("id").and_then(Value::as_u64),
+                Some(router_id),
+                "{forwarded}"
+            );
+            let expected = with_first_id(value, Value::num(router_id as f64));
+            match (parse_request(&sent, true), parse_request(&expected, true)) {
+                (Ok(sent), Ok(expected)) => assert_eq!(sent, expected, "{line}"),
+                (Err(sent), Err(expected)) => assert_eq!(sent.code, expected.code, "{line}"),
+                (sent, expected) => panic!("{line}: {sent:?} against {expected:?}"),
+            }
+        }
+        assert!(
+            forwarded_count > MUTANTS / 2,
+            "only {forwarded_count} lines forwarded"
+        );
     }
 
     #[test]

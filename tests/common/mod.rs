@@ -7,8 +7,21 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 use server::Client;
+
+/// How long a test client waits for an answer before its read fails: far
+/// beyond any answer the suites wait for, so only a lost one trips it.
+const READ_TIMEOUT: Duration = Duration::from_secs(120);
+
+fn connect(addr: &str) -> Client {
+    let client = Client::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
+    client
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .expect("set the read timeout");
+    client
+}
 
 fn spawn_banner_process(binary: &str, args: &[&str]) -> (Child, String) {
     let mut child = Command::new(binary)
@@ -50,7 +63,7 @@ impl ServerProc {
 
     /// A fresh client connection to the spawned server.
     pub fn client(&self) -> Client {
-        Client::connect(self.addr.as_str()).expect("connect to nonrec-serve")
+        connect(&self.addr)
     }
 
     /// The server's bound address.
@@ -95,7 +108,7 @@ impl RouterProc {
 
     /// A fresh client connection to the spawned router.
     pub fn client(&self) -> Client {
-        Client::connect(self.addr.as_str()).expect("connect to nonrec-route")
+        connect(&self.addr)
     }
 
     /// The router's bound address.

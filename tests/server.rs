@@ -900,6 +900,78 @@ fn unique_id_warm_traffic_is_served_by_the_line_memo() {
     );
 }
 
+/// Id-less lines reach the shard with the router id as their first field,
+/// so the shard's line memo keys them as it keys a direct client's line:
+/// three identical id-less lines through the router leave one line entry,
+/// and every answer is the first one.
+#[test]
+fn id_less_routed_lines_are_served_by_the_shards_line_memo() {
+    let shard = ServerProc::spawn(&[]);
+    let router = common::RouterProc::spawn(&[shard.addr()], &[]);
+    let line = r#"{"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2}"#;
+    let mut routed = router.client();
+    let answers: Vec<String> = (0..3)
+        .map(|_| routed.request_line(line).expect("routed answer"))
+        .collect();
+    assert!(
+        answers[0].starts_with(r#"{"id":null,"ok":true,"#),
+        "{}",
+        answers[0]
+    );
+    assert!(
+        answers.iter().all(|answer| *answer == answers[0]),
+        "{answers:?}"
+    );
+    let stats = shard
+        .client()
+        .request(&protocol::stats_request())
+        .expect("shard stats");
+    let line_entries = stats
+        .get("result")
+        .and_then(|r| r.get("server"))
+        .and_then(|s| s.get("memo_line_entries"))
+        .and_then(Value::as_u64);
+    assert_eq!(line_entries, Some(1));
+}
+
+/// A line within the cap that the router's id would push over it is
+/// answered `bad_request` by the router itself (with the client's id),
+/// instead of going to a shard that could only answer it with id null.
+#[test]
+fn a_line_the_router_id_pushes_over_the_cap_is_answered_by_the_router() {
+    let shard = ServerProc::spawn(&[]);
+    let router = common::RouterProc::spawn(&[shard.addr()], &[]);
+    let fields = r#""op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2,"pad":""#;
+    let cap = server::server::MAX_LINE_BYTES;
+    let padded = |head: &str| format!("{head}{}\"}}", "x".repeat(cap - 2 - head.len() - 2));
+    let line = padded(&format!("{{{fields}"));
+    assert_eq!(line.len(), cap - 2);
+    let direct = json_value(&shard.client().request_line(&line).expect("direct answer"));
+    assert_eq!(direct.get("ok").and_then(Value::as_bool), Some(true));
+
+    let mut routed = router.client();
+    routed
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set the read timeout");
+    for (id, line) in [
+        ("null", line),
+        ("7", padded(&format!("{{\"id\":7.0,{fields}"))),
+    ] {
+        let answer = routed.request_line(&line).expect("the router answers");
+        let head = format!(r#"{{"id":{id},"ok":false,"error":{{"code":"bad_request","#);
+        assert!(answer.starts_with(&head), "{answer}");
+    }
+    let stats = routed
+        .request(&protocol::stats_request())
+        .expect("router stats");
+    let bad_request = stats
+        .get("result")
+        .and_then(|r| r.get("router"))
+        .and_then(|r| r.get("bad_request"))
+        .and_then(Value::as_u64);
+    assert_eq!(bad_request, Some(2));
+}
+
 fn json_value(text: &str) -> Value {
     server::json::parse(text).expect("valid JSON")
 }

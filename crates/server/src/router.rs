@@ -19,8 +19,15 @@
 //!   splice ([`splice_id`]): a request is never re-rendered, and a response
 //!   — success or error — reaches the client as the shard wrote it, with
 //!   only its leading `id` changed;
+//! * each backend connection owns its in-flight requests and a bounded
+//!   queue of lines, which a writer thread drains through
+//!   `server::write_loop`, a batch per wakeup.  A full queue makes the
+//!   sending client wait; `stats` and the other shards do not;
 //! * when a backend dies, its in-flight requests are **requeued** to a
-//!   live shard — the client sees a slower answer, not a lost one.  Only
+//!   live shard — the client sees a slower answer, not a lost one.  The
+//!   connection's reader is the one death path (a failed write shuts the
+//!   socket down, which ends the reader too), and it takes the in-flight
+//!   table once, so each request is requeued exactly once.  Only
 //!   when *no* shard can take a request does the router answer with its
 //!   own stable `shard_unavailable` code; a backend's `busy` is forwarded
 //!   verbatim, so clients can tell which tier to back off from.
@@ -30,10 +37,10 @@
 //! state, so operators address shards directly.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use datalog::parser::parse_program;
@@ -43,7 +50,7 @@ use nonrec_equivalence::ProgramKey;
 use crate::json::{self, obj, Value};
 use crate::memo::{splice_id, split_line_id};
 use crate::protocol::{error_response, ok_response, WireError, ADMIN_VERBS};
-use crate::server::{line_too_long_response, serve_connection, Frame, MAX_LINE_BYTES};
+use crate::server::{line_too_long_response, serve_connection, write_loop, Frame, MAX_LINE_BYTES};
 
 /// The router's own stable error code: no shard could take the request.
 /// Distinct from `busy` (a *backend's* queue is full — forwarded verbatim):
@@ -54,6 +61,11 @@ pub const SHARD_UNAVAILABLE: &str = "shard_unavailable";
 /// How many program texts the router remembers the shard hash of.  A
 /// remembered text costs one copy of it plus a `u64`.
 const MEMO_CAP: usize = 4096;
+
+/// Lines queued to one backend connection's writer before a sending client
+/// thread blocks: the backpressure a stalled shard puts on its clients, and
+/// the most a stalled shard's queue holds.
+const QUEUE_CAP: usize = 64;
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -85,29 +97,30 @@ struct Pending {
     /// The client's `id`, rendered (`null` when it sent none), spliced into
     /// the response on the way back.
     client_id: String,
-    /// The forwarded request line (newline included) with the router id
-    /// installed — kept so a backend death can re-send the same bytes on
-    /// another shard.
+    /// The forwarded request line with the router id installed — kept so a
+    /// backend death can re-send the same bytes on another shard.
     line: Arc<str>,
-    /// Shard the request is currently in flight on.
-    shard: usize,
-    /// Connection generation it was written on (`u64::MAX` until written):
-    /// a death sweep requeues exactly the entries written on the dead
-    /// connection, never ones already re-sent on its successor.
-    generation: u64,
     /// Dispatch attempts so far; bounded by the shard count so two flapping
     /// backends cannot bounce one request forever.
     attempts: usize,
 }
 
+/// One persistent backend connection: a writer thread drains `lines` into
+/// the socket, and a reader thread answers the entries in `inflight`.
+struct Conn {
+    shard: usize,
+    /// The writer's queue, bounded by [`QUEUE_CAP`].
+    lines: mpsc::SyncSender<Arc<str>>,
+    /// Requests sent on this connection and not yet answered, by router id;
+    /// `None` once the reader has taken them at the connection's death.
+    inflight: Mutex<Option<HashMap<u64, Pending>>>,
+}
+
 /// One backend connection slot.
 #[derive(Default)]
 struct Slot {
-    /// Write half of the persistent connection (`None`: not connected).
-    writer: Option<TcpStream>,
-    /// Bumped on every successful connect; the matching reader thread and
-    /// every in-flight entry carry the generation they belong to.
-    generation: u64,
+    /// The live connection (`None`: not connected).
+    conn: Option<Arc<Conn>>,
     /// Last connect attempt, for the reconnect cooldown.
     last_attempt: Option<Instant>,
 }
@@ -143,27 +156,26 @@ impl RouteMemo {
         RouteMemo(Mutex::new(Lru::new(Some(MEMO_CAP))))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<str, u64>> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// The shard hash of `text`.  A repeated text is answered from the memo;
     /// a new one is hashed outside the lock, then remembered.
     fn hash(&self, text: &str) -> u64 {
-        if let Some(&hash) = self.lock().get(text) {
+        if let Some(&hash) = lock(&self.0).get(text) {
             return hash;
         }
         let hash = route_hash(text);
-        self.lock().insert(text, hash);
+        lock(&self.0).insert(text, hash);
         hash
     }
 }
 
+/// Lock `mutex`, ignoring poison: every guarded value stays consistent
+/// between statements.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Shared {
     backends: Vec<Backend>,
-    pending: Mutex<HashMap<u64, Pending>>,
     next_id: AtomicU64,
     round_robin: AtomicUsize,
     cooldown: Duration,
@@ -171,28 +183,18 @@ struct Shared {
     route_memo: RouteMemo,
 }
 
-// Lock order: a thread holding `pending` never takes a `slot` lock (the
-// reverse — slot, then pending — happens in `send_on_shard`).  `counters`
-// and `route_memo` are leaves: taken last, never held across another
-// acquisition.
+// Lock order: no thread holds a `slot` lock and an `inflight` lock at once.
+// A sender clones the slot's `Conn` and releases the slot before touching
+// its table; a dying connection's reader clears the slot before taking its
+// table.  `counters` and `route_memo` are leaves: taken last, never held
+// across another acquisition.
 impl Shared {
-    fn pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Pending>> {
-        self.pending
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn counters(&self) -> MutexGuard<'_, Counters> {
+        lock(&self.counters)
     }
 
-    fn counters(&self) -> std::sync::MutexGuard<'_, Counters> {
-        self.counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn slot(&self, shard: usize) -> std::sync::MutexGuard<'_, Slot> {
-        self.backends[shard]
-            .slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn slot(&self, shard: usize) -> MutexGuard<'_, Slot> {
+        lock(&self.backends[shard].slot)
     }
 }
 
@@ -225,7 +227,6 @@ impl Router {
                         slot: Mutex::new(Slot::default()),
                     })
                     .collect(),
-                pending: Mutex::new(HashMap::new()),
                 next_id: AtomicU64::new(1),
                 round_robin: AtomicUsize::new(0),
                 cooldown: config.reconnect_cooldown,
@@ -309,23 +310,21 @@ fn route_text(value: &Value) -> Option<&str> {
 }
 
 /// The client's request line, a JSON object, with the router id installed
-/// as its first field, newline included.  A line [`split_line_id`] cuts
-/// keeps its bytes from the comma after its own id; any other line keeps
-/// its bytes after the opening `{`, so a later or non-canonical `id` it
-/// carries loses to the router's under the first-wins field lookup.  The
-/// shard's line memo keys the result as it keys a direct client's line.
+/// as its first field.  A line [`split_line_id`] cuts keeps its bytes from
+/// the comma after its own id; any other line keeps its bytes after the
+/// opening `{`, so a later or non-canonical `id` it carries loses to the
+/// router's under the first-wins field lookup.  The shard's line memo keys
+/// the result as it keys a direct client's line.
 fn forwarded_line(line: &str, router_id: u64) -> String {
     let router_id = router_id.to_string();
-    let mut forwarded = match split_line_id(line) {
+    match split_line_id(line) {
         Some((_, tail)) if tail.starts_with(',') => splice_id(&router_id, tail),
         _ => {
             let mut head = splice_id(&router_id, ",");
             head.push_str(&line.trim_start()[1..]);
             head
         }
-    };
-    forwarded.push('\n');
-    forwarded
+    }
 }
 
 /// Route one frame: answer `stats`, over-long lines and malformed input
@@ -369,7 +368,7 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
     }
     let router_id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let forwarded = forwarded_line(line, router_id);
-    if forwarded.len() > MAX_LINE_BYTES + 1 {
+    if forwarded.len() > MAX_LINE_BYTES {
         // The client's line fit the cap, its router id does not: the shard
         // would answer `bad_request` with id null, which no one can claim.
         return reject(format!(
@@ -386,20 +385,19 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
     dispatch(
         shared,
         router_id,
+        shard,
         Pending {
             client: reply.clone(),
             client_id: id.unwrap_or(Value::Null).render(),
             line: forwarded.into(),
-            shard,
-            generation: u64::MAX,
             attempts: 0,
         },
     );
 }
 
-/// Try to forward `pending`, starting at its preferred shard and walking
-/// the ring.  Answers `shard_unavailable` when every shard refuses.
-fn dispatch(shared: &Arc<Shared>, router_id: u64, mut pending: Pending) {
+/// Try to forward `pending`, starting at shard `start` and walking the
+/// ring.  Answers `shard_unavailable` when every shard refuses.
+fn dispatch(shared: &Arc<Shared>, router_id: u64, start: usize, mut pending: Pending) {
     let shards = shared.backends.len();
     if pending.attempts > shards {
         // Bounced around the whole ring already (backends flapping):
@@ -408,26 +406,14 @@ fn dispatch(shared: &Arc<Shared>, router_id: u64, mut pending: Pending) {
         return;
     }
     pending.attempts += 1;
-    let start = pending.shard;
-    let line = Arc::clone(&pending.line);
     for offset in 0..shards {
         let shard = (start + offset) % shards;
-        // The entry must be in the table *before* the write: the backend's
-        // response can race back before `send_on_shard` returns.
-        shared.pending().insert(router_id, pending);
-        match send_on_shard(shared, shard, router_id, &line) {
+        match send_on_shard(shared, shard, router_id, pending) {
             Ok(()) => {
                 shared.counters().shards[shard].forwarded += 1;
                 return;
             }
-            Err(()) => {
-                match shared.pending().remove(&router_id) {
-                    // Still ours: try the next shard.
-                    Some(entry) => pending = entry,
-                    // A death sweep got there first and re-owns the entry.
-                    None => return,
-                }
-            }
+            Err(entry) => pending = entry,
         }
     }
     answer_unavailable(shared, &pending);
@@ -450,68 +436,79 @@ fn answer_unavailable(shared: &Arc<Shared>, pending: &Pending) {
     );
 }
 
-/// Write one framed request on a shard's persistent connection, connecting
-/// (and spawning the connection's reader thread) if necessary.  On a write
-/// failure the slot is cleared and the generation swept, so every entry
-/// written on the dead connection — including this one — is requeued
-/// exactly once.
-fn send_on_shard(shared: &Arc<Shared>, shard: usize, router_id: u64, line: &str) -> Result<(), ()> {
-    let mut slot = shared.slot(shard);
-    if slot.writer.is_none() {
-        connect_backend(shared, shard, &mut slot)?;
-    }
-    let generation = slot.generation;
-    // Stamp the entry with the generation it is about to be written on,
-    // while holding the slot lock so the stamp and the write cannot be
-    // split by a concurrent death sweep.
-    if let Some(entry) = shared.pending().get_mut(&router_id) {
-        entry.shard = shard;
-        entry.generation = generation;
-    } else {
-        // Swept (and re-dispatched) between insert and here; nothing to
-        // write on this connection.
+/// Queue `pending`'s line on a shard's connection, connecting it if
+/// necessary, or hand `pending` back when the shard cannot be reached.
+/// Once in the connection's table the entry is its reader's: if the
+/// connection dies, the reader requeues it, written or not.
+fn send_on_shard(
+    shared: &Arc<Shared>,
+    shard: usize,
+    router_id: u64,
+    pending: Pending,
+) -> Result<(), Pending> {
+    loop {
+        let conn = {
+            let mut slot = shared.slot(shard);
+            match &slot.conn {
+                Some(conn) => Arc::clone(conn),
+                None => match connect_backend(shared, shard, &mut slot) {
+                    Some(conn) => conn,
+                    None => return Err(pending),
+                },
+            }
+        };
+        let line = Arc::clone(&pending.line);
+        let mut inflight = lock(&conn.inflight);
+        let Some(table) = inflight.as_mut() else {
+            // Died since the clone, so its reader has cleared the slot.
+            continue;
+        };
+        // In the table *before* the line is queued: the response can race
+        // back before `send` returns.
+        table.insert(router_id, pending);
+        drop(inflight);
+        // A full queue blocks this client's thread until the shard reads.
+        // A failed send means the writer has died and shut the socket down,
+        // so the reader requeues the entry.
+        let _ = conn.lines.send(line);
         return Ok(());
-    }
-    let writer = slot.writer.as_mut().expect("connected above");
-    match writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.flush())
-    {
-        Ok(()) => Ok(()),
-        Err(_) => {
-            slot.writer = None;
-            drop(slot);
-            // Requeue everything written on this generation (the reader
-            // thread will also notice the death, but its sweep of the same
-            // generation then finds nothing left — entries are requeued
-            // exactly once).
-            sweep_generation(shared, shard, generation);
-            Err(())
-        }
     }
 }
 
-/// Connect a backend slot and spawn the reader thread that owns the read
-/// half for this generation.  Caller holds the slot lock.
-fn connect_backend(shared: &Arc<Shared>, shard: usize, slot: &mut Slot) -> Result<(), ()> {
+/// Connect a backend slot and spawn the connection's writer, which runs
+/// [`write_loop`] and shuts the socket down if a write fails, and its
+/// reader.  Caller holds the slot lock.
+fn connect_backend(shared: &Arc<Shared>, shard: usize, slot: &mut Slot) -> Option<Arc<Conn>> {
     if let Some(last) = slot.last_attempt {
         if last.elapsed() < shared.cooldown {
-            return Err(());
+            return None;
         }
     }
     slot.last_attempt = Some(Instant::now());
-    let stream = TcpStream::connect(&shared.backends[shard].addr).map_err(|_| ())?;
+    let stream = TcpStream::connect(&shared.backends[shard].addr).ok()?;
     let _ = stream.set_nodelay(true);
-    let read_half = stream.try_clone().map_err(|_| ())?;
-    slot.generation += 1;
-    let generation = slot.generation;
-    slot.writer = Some(stream);
-    let shared = Arc::clone(shared);
+    let write_half = stream.try_clone().ok()?;
+    let (lines, queue) = mpsc::sync_channel(QUEUE_CAP);
+    let conn = Arc::new(Conn {
+        shard,
+        lines,
+        inflight: Mutex::new(Some(HashMap::new())),
+    });
+    std::thread::Builder::new()
+        .name(format!("nonrec-route-shard-{shard}-writer"))
+        .spawn(move || {
+            if write_loop(&write_half, &queue).is_err() {
+                let _ = write_half.shutdown(Shutdown::Both);
+            }
+        })
+        .ok()?;
+    let (shared, reader_conn) = (Arc::clone(shared), Arc::clone(&conn));
     std::thread::Builder::new()
         .name(format!("nonrec-route-shard-{shard}"))
-        .spawn(move || backend_read_loop(&shared, shard, generation, read_half))
-        .map_err(|_| ())?;
-    Ok(())
+        .spawn(move || backend_read_loop(&shared, &reader_conn, stream))
+        .ok()?;
+    slot.conn = Some(Arc::clone(&conn));
+    Some(conn)
 }
 
 /// A shard's response line cut into its router id and its bytes after it,
@@ -527,11 +524,14 @@ fn is_busy(tail: &str) -> bool {
     tail.starts_with(",\"ok\":false,\"error\":{\"code\":\"busy\",")
 }
 
-/// The per-backend-connection reader: match responses to pending entries by
-/// router id, restore the client id, forward to the owning client.  On EOF
-/// or error, clear the slot (if this generation still owns it) and requeue
-/// everything written on this generation.
-fn backend_read_loop(shared: &Arc<Shared>, shard: usize, generation: u64, stream: TcpStream) {
+/// The per-backend-connection reader: match responses to the connection's
+/// entries by router id, restore the client id, forward to the owning
+/// client.  On EOF or error it runs the connection's one death path: shut
+/// the socket down (which stops the writer), clear the slot if it still
+/// holds this connection, then take the table and requeue every entry.
+/// The table is taken once, so each entry is requeued exactly once.
+fn backend_read_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
+    let shard = conn.shard;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -547,16 +547,19 @@ fn backend_read_loop(shared: &Arc<Shared>, shard: usize, generation: u64, stream
         if !json::is_valid(trimmed) {
             // A backend speaking garbage is indistinguishable from a dead
             // one for the requests in flight; drop the connection and let
-            // the sweep requeue them.
+            // the death path requeue them.
             break;
         }
         let Some((router_id, tail)) = cut_router_id(trimmed) else {
             // Unattributable frame (e.g. the backend's one-line
             // connection-limit rejection carries id null); skip it — if
-            // the backend then closes, the sweep handles the fallout.
+            // the backend then closes, the death path handles the fallout.
             continue;
         };
-        let Some(pending) = shared.pending().remove(&router_id) else {
+        let Some(pending) = lock(&conn.inflight)
+            .as_mut()
+            .and_then(|table| table.remove(&router_id))
+        else {
             continue;
         };
         let busy = is_busy(tail);
@@ -572,52 +575,38 @@ fn backend_read_loop(shared: &Arc<Shared>, shard: usize, generation: u64, stream
         }
         let _ = pending.client.send(splice_id(&pending.client_id, tail));
     }
+    let _ = reader.get_ref().shutdown(Shutdown::Both);
     shared.counters().shards[shard].disconnects += 1;
     {
         let mut slot = shared.slot(shard);
-        if slot.generation == generation {
-            slot.writer = None;
+        if matches!(&slot.conn, Some(live) if Arc::ptr_eq(live, conn)) {
+            slot.conn = None;
         }
     }
-    sweep_generation(shared, shard, generation);
-}
-
-/// Requeue every pending entry written on `(shard, generation)` — the
-/// requests a dead connection took down with it.  Re-dispatch starts at the
-/// next shard on the ring (the dead one would only cost a cooldown probe).
-fn sweep_generation(shared: &Arc<Shared>, shard: usize, generation: u64) {
-    let orphans: Vec<(u64, Pending)> = {
-        let mut pending = shared.pending();
-        let ids: Vec<u64> = pending
-            .iter()
-            .filter(|(_, entry)| entry.shard == shard && entry.generation == generation)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| pending.remove(&id).map(|entry| (id, entry)))
-            .collect()
-    };
+    let orphans = lock(&conn.inflight).take().unwrap_or_default();
     if orphans.is_empty() {
         return;
     }
-    {
-        let mut counters = shared.counters();
-        counters.shards[shard].requeued += orphans.len() as u64;
-    }
-    for (router_id, mut entry) in orphans {
-        entry.shard = (shard + 1) % shared.backends.len();
-        entry.generation = u64::MAX;
-        dispatch(shared, router_id, entry);
+    shared.counters().shards[shard].requeued += orphans.len() as u64;
+    // Re-dispatch starts at the next shard on the ring (the dead one would
+    // only cost a cooldown probe).
+    let next = (shard + 1) % shared.backends.len();
+    for (router_id, entry) in orphans {
+        dispatch(shared, router_id, next, entry);
     }
 }
 
 /// The router's own `stats` payload: router-level counters plus a per-shard
 /// block (liveness, forwarded/replies/busy/requeued/disconnects).
 fn stats_json(shared: &Arc<Shared>) -> Value {
-    let inflight = shared.pending().len();
-    let alive: Vec<bool> = (0..shared.backends.len())
-        .map(|shard| shared.slot(shard).writer.is_some())
+    let conns: Vec<Option<Arc<Conn>>> = (0..shared.backends.len())
+        .map(|shard| shared.slot(shard).conn.clone())
         .collect();
+    let inflight: usize = conns
+        .iter()
+        .flatten()
+        .map(|conn| lock(&conn.inflight).as_ref().map_or(0, HashMap::len))
+        .sum();
     let counters = shared.counters();
     let shards: Vec<Value> = counters
         .shards
@@ -626,7 +615,7 @@ fn stats_json(shared: &Arc<Shared>) -> Value {
         .map(|(i, s)| {
             obj(vec![
                 ("addr", Value::str(shared.backends[i].addr.clone())),
-                ("alive", Value::Bool(alive[i])),
+                ("alive", Value::Bool(conns[i].is_some())),
                 ("forwarded", Value::num(s.forwarded as f64)),
                 ("replies", Value::num(s.replies as f64)),
                 ("busy", Value::num(s.busy as f64)),
@@ -656,7 +645,7 @@ mod tests {
     use crate::protocol::parse_request;
     use rng::rngs::StdRng;
     use rng::{Rng, SeedableRng};
-    use std::io::Read;
+    use std::io::{Read, Write};
 
     #[test]
     fn route_hash_is_structural_and_deterministic() {
@@ -678,24 +667,24 @@ mod tests {
         let text = "p(X, Y) :- e(X, Z), e(Z, Y).";
         let hash = memo.hash(text);
         assert_eq!(hash, route_hash(text));
-        assert_eq!(memo.lock().len(), 1);
+        assert_eq!(lock(&memo.0).len(), 1);
         // The second route of the text is answered from the memo: a value
         // planted under it comes back instead of a recomputed hash.
-        memo.lock().insert(text, hash ^ 1);
+        lock(&memo.0).insert(text, hash ^ 1);
         assert_eq!(memo.hash(text), hash ^ 1);
-        assert_eq!(memo.lock().len(), 1);
-        memo.lock().insert(text, hash);
+        assert_eq!(lock(&memo.0).len(), 1);
+        lock(&memo.0).insert(text, hash);
         // Alpha-renamed and whitespace variants are separate texts with the
         // same shard.
         assert_eq!(memo.hash("p(U, V) :- e(U, W), e(W, V)."), hash);
         assert_eq!(memo.hash("p(X, Y)  :-  e(X, Z),  e(Z, Y)."), hash);
-        assert_eq!(memo.lock().len(), 3);
+        assert_eq!(lock(&memo.0).len(), 3);
         // Distinct texts past the cap: the memo holds exactly its cap.
         for i in 0..=MEMO_CAP {
             memo.hash(&format!("not a program {i}"));
         }
-        assert_eq!(memo.lock().len(), MEMO_CAP);
-        assert_eq!(memo.lock().get(text), None, "the oldest text is shed");
+        assert_eq!(lock(&memo.0).len(), MEMO_CAP);
+        assert_eq!(lock(&memo.0).get(text), None, "the oldest text is shed");
     }
 
     /// Bytes that steer mutants toward the JSON grammar's branches.
@@ -871,15 +860,15 @@ mod tests {
         // A canonical leading id is replaced, an id-less line gains one.
         assert_eq!(
             forwarded_line(r#"{"id":"mine","op":"stats"}"#, 42),
-            "{\"id\":42,\"op\":\"stats\"}\n"
+            "{\"id\":42,\"op\":\"stats\"}"
         );
         assert_eq!(
             forwarded_line(r#"{"op":"stats"}"#, 7),
-            "{\"id\":7,\"op\":\"stats\"}\n"
+            "{\"id\":7,\"op\":\"stats\"}"
         );
         // Any other id stays behind the router's, which wins the lookup.
         let forwarded = forwarded_line(r#" {"id":1.0,"op":"stats"}"#, 7);
-        assert_eq!(forwarded, "{\"id\":7,\"id\":1.0,\"op\":\"stats\"}\n");
+        assert_eq!(forwarded, "{\"id\":7,\"id\":1.0,\"op\":\"stats\"}");
         let value = json::parse(&forwarded).unwrap();
         assert_eq!(value.get("id").and_then(Value::as_u64), Some(7));
     }
@@ -960,6 +949,69 @@ mod tests {
         assert_eq!(route_text(&value), Some("p(X) :- e(X, X)."));
         let keyless = json::parse(r#"{"op":"stats"}"#).unwrap();
         assert_eq!(route_text(&keyless), None);
+    }
+
+    /// The one death path under churn: shard A accepts every connection and
+    /// closes it at once, so each request routed to A dies in flight there
+    /// and is requeued to shard B, an in-process server — answered once.
+    #[test]
+    fn requests_on_a_dying_shard_are_requeued_and_answered_once() {
+        const N: usize = 32;
+        let closer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dying = closer.local_addr().unwrap().to_string();
+        std::thread::spawn(move || closer.incoming().for_each(drop));
+        let server =
+            crate::server::Server::bind("127.0.0.1:0", crate::server::ServerConfig::default())
+                .unwrap();
+        let live = server.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let _ = server.run();
+        });
+        // No cooldown: every request reconnects to A and dies there again.
+        let config = RouterConfig {
+            backends: vec![dying, live],
+            reconnect_cooldown: Duration::ZERO,
+        };
+        let router = Router::bind("127.0.0.1:0", config).unwrap();
+        let addr = router.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let _ = router.run();
+        });
+        let requests: Vec<Value> = (0..)
+            .map(|i| format!("p(X) :- e{i}(X, X)."))
+            // Programs that route to A, shard 0 of 2.
+            .filter(|program| route_hash(program).is_multiple_of(2))
+            .take(N)
+            .enumerate()
+            .map(|(id, program)| {
+                let request = crate::protocol::equivalence_request(&program, "p", &program);
+                with_first_id(request, Value::num(id as f64))
+            })
+            .collect();
+        let mut client = crate::client::Client::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        client.send_all(&requests).unwrap();
+        let mut answered = [false; N];
+        for _ in 0..N {
+            let response = client.recv().unwrap();
+            assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+            let id = response.get("id").and_then(Value::as_u64).unwrap() as usize;
+            assert!(!std::mem::replace(&mut answered[id], true), "id {id} twice");
+        }
+        let stats = client.request(&crate::protocol::stats_request()).unwrap();
+        let result = stats.get("result").unwrap();
+        let router_block = result.get("router").unwrap();
+        assert_eq!(router_block.get("inflight").unwrap().as_u64(), Some(0));
+        let shards = result.get("shards").unwrap().as_arr().unwrap();
+        let counter = |shard: usize, name: &str| shards[shard].get(name).unwrap().as_u64();
+        // Every request went to A once, died there, and went to B once.
+        assert_eq!(counter(0, "forwarded"), Some(N as u64));
+        assert_eq!(counter(0, "requeued"), Some(N as u64));
+        assert_eq!(counter(0, "replies"), Some(0));
+        assert_eq!(counter(1, "forwarded"), Some(N as u64));
+        assert_eq!(counter(1, "replies"), Some(N as u64));
     }
 
     #[test]

@@ -303,39 +303,33 @@ pub(crate) fn line_too_long_response(resynced: bool) -> Value {
     )
 }
 
-/// The per-connection writer: receive completed, already-rendered response
-/// lines (from the reader thread and the pool workers alike) and coalesce
-/// everything ready at each wakeup into one buffered `write_all` + flush.  Returns when every sender
-/// clone has dropped (reader done **and** no job in flight) or on the first
-/// write error, which also flags `alive` so the reader stops accepting work
-/// for a peer that is gone.
-fn write_loop(
+/// The per-connection writer: receive completed, already-rendered lines
+/// (from the reader thread and the pool workers alike, or a router's
+/// senders) and coalesce everything ready at each wakeup into one buffered
+/// `write_all` + flush, appending each line's newline.  Returns when every
+/// sender clone has dropped or on the first write error.
+pub(crate) fn write_loop<T: AsRef<str>>(
     mut writer: impl Write,
-    responses: &mpsc::Receiver<String>,
-    alive: &AtomicBool,
+    lines: &mpsc::Receiver<T>,
 ) -> std::io::Result<()> {
     let mut buf = String::new();
     loop {
-        let Ok(first) = responses.recv() else {
+        let Ok(first) = lines.recv() else {
             return Ok(());
         };
         buf.clear();
-        buf.push_str(&first);
+        buf.push_str(first.as_ref());
         buf.push('\n');
-        // Coalescing is bounded by what is already complete (at most the
-        // pool queue plus in-flight count), so the buffer cannot grow
-        // without bound.
-        while let Ok(next) = responses.try_recv() {
-            buf.push_str(&next);
+        // Coalescing is bounded by what is already complete (the pool queue
+        // plus the in-flight count, or a bounded channel's cap), so the
+        // buffer cannot grow without bound.
+        while let Ok(next) = lines.try_recv() {
+            buf.push_str(next.as_ref());
             buf.push('\n');
         }
-        if let Err(e) = writer
+        writer
             .write_all(buf.as_bytes())
-            .and_then(|()| writer.flush())
-        {
-            alive.store(false, Ordering::Relaxed);
-            return Err(e);
-        }
+            .and_then(|()| writer.flush())?;
     }
 }
 
@@ -417,7 +411,15 @@ pub(crate) fn serve_pipelined<W: Write + Send>(
     let writer_alive = AtomicBool::new(true);
     std::thread::scope(|scope| {
         let alive = &writer_alive;
-        let writer = scope.spawn(move || write_loop(writer, &responses, alive));
+        let writer = scope.spawn(move || {
+            // A failed write means the peer is gone: the reader stops
+            // accepting work for it.
+            let result = write_loop(writer, &responses);
+            if result.is_err() {
+                alive.store(false, Ordering::Relaxed);
+            }
+            result
+        });
         let read_result = read_loop(reader, &reply, &writer_alive, &mut handle);
         // Stop contributing responses; the writer drains until the last
         // in-flight job (each holds a sender clone) has answered.  A

@@ -115,6 +115,11 @@ impl RouterProc {
     pub fn addr(&self) -> &str {
         &self.addr
     }
+
+    /// The router process's id.
+    pub fn pid(&self) -> u32 {
+        self.child.id()
+    }
 }
 
 impl Drop for RouterProc {

@@ -972,6 +972,49 @@ fn a_line_the_router_id_pushes_over_the_cap_is_answered_by_the_router() {
     assert_eq!(bad_request, Some(2));
 }
 
+/// A shard that accepts and never reads holds up only the requests queued
+/// to it: the router still answers `stats` on another connection, and it
+/// buffers a bounded queue of the 40 MB burst, not all of it (an unbounded
+/// queue peaks near 67 MB here, the 64-line queue near 14 MB).
+#[test]
+fn a_stalled_shard_leaves_the_router_answering_in_bounded_memory() {
+    let stalled = std::net::TcpListener::bind("127.0.0.1:0").expect("bind the stalled shard");
+    let shard_addr = stalled.local_addr().expect("shard addr").to_string();
+    std::thread::spawn(move || {
+        // Hold every accepted connection open, never reading from it.
+        let held: Vec<_> = stalled.incoming().collect();
+        drop(held);
+    });
+    let router = common::RouterProc::spawn(&[&shard_addr], &[]);
+    let line = format!(
+        r#"{{"op":"bounded","program":"p(X) :- e(X, X).","goal":"p","max_depth":2,"pad":"{}"}}"#,
+        "x".repeat(100 * 1024)
+    );
+    let burst = format!("{line}\n").repeat(400);
+    let mut pipelined = std::net::TcpStream::connect(router.addr()).expect("connect to the router");
+    std::thread::spawn(move || {
+        let _ = pipelined.write_all(burst.as_bytes());
+    });
+    std::thread::sleep(std::time::Duration::from_secs(1));
+
+    let mut probe = router.client();
+    probe
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set the read timeout");
+    let stats = probe
+        .request(&protocol::stats_request())
+        .expect("the router answers stats while a shard stalls");
+    assert!(stats.get("result").and_then(|r| r.get("router")).is_some());
+    let status = std::fs::read_to_string(format!("/proc/{}/status", router.pid()))
+        .expect("read the router's status");
+    let hwm_kb: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in the router's status");
+    assert!(hwm_kb < 32 * 1024, "router peak RSS {hwm_kb} kB");
+}
+
 fn json_value(text: &str) -> Value {
     server::json::parse(text).expect("valid JSON")
 }

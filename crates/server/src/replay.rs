@@ -65,7 +65,11 @@ pub fn write_capture(mut out: impl Write, records: &[CaptureRecord]) -> std::io:
 /// a silently shortened stream.
 pub fn read_capture(input: impl BufRead) -> std::io::Result<Vec<CaptureRecord>> {
     let bad = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
-    let mut lines = input.lines();
+    // Split on `\n` alone: a request line keeps a trailing `\r` its client
+    // framed it with, which `BufRead::lines` would strip.
+    let mut lines = input
+        .split(b'\n')
+        .map(|line| String::from_utf8(line?).map_err(|_| bad("capture is not UTF-8".to_string())));
     match lines.next() {
         Some(header) => {
             if header? != CAPTURE_HEADER {

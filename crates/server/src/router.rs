@@ -27,10 +27,13 @@
 //!   live shard — the client sees a slower answer, not a lost one.  The
 //!   connection's reader is the one death path (a failed write shuts the
 //!   socket down, which ends the reader too), and it takes the in-flight
-//!   table once, so each request is requeued exactly once.  Only
-//!   when *no* shard can take a request does the router answer with its
-//!   own stable `shard_unavailable` code; a backend's `busy` is forwarded
-//!   verbatim, so clients can tell which tier to back off from.
+//!   table once, so each request is requeued exactly once.  A shard that
+//!   accepts and stops reading is dead too: a write call that moves no
+//!   bytes for `BACKEND_WRITE_TIMEOUT` (5 s) fails, and its requests go the
+//!   same way.  Only when *no* shard can take a request does the router
+//!   answer with its own stable `shard_unavailable` code; a backend's
+//!   `busy` is forwarded verbatim, so clients can tell which tier to back
+//!   off from.
 //!
 //! The router answers `stats` itself (router + per-shard counters) and
 //! rejects the cache-admin verbs with `bad_request`: admin is per-shard
@@ -66,6 +69,13 @@ const MEMO_CAP: usize = 4096;
 /// thread blocks: the backpressure a stalled shard puts on its clients, and
 /// the most a stalled shard's queue holds.
 const QUEUE_CAP: usize = 64;
+
+/// How long one write call to a backend may move no bytes before it fails
+/// and the router declares the shard dead.  A live shard never stops
+/// reading that long: when its worker queue is full its reader answers
+/// `busy` rather than blocking, so only a stalled shard leaves a write
+/// waiting this long.
+const BACKEND_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -130,22 +140,28 @@ struct Backend {
     slot: Mutex<Slot>,
 }
 
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct ShardCounters {
-    forwarded: u64,
-    replies: u64,
-    busy: u64,
-    requeued: u64,
-    disconnects: u64,
+    forwarded: AtomicU64,
+    replies: AtomicU64,
+    busy: AtomicU64,
+    requeued: AtomicU64,
+    disconnects: AtomicU64,
 }
 
+/// The router's `stats` counters.  Each is a statistic that publishes no
+/// other data, so each is read and written on its own with `Relaxed`.
 #[derive(Default)]
 struct Counters {
-    requests: u64,
-    invalid_json: u64,
-    bad_request: u64,
-    unavailable: u64,
+    requests: AtomicU64,
+    invalid_json: AtomicU64,
+    bad_request: AtomicU64,
+    unavailable: AtomicU64,
     shards: Vec<ShardCounters>,
+}
+
+fn add(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 /// [`route_hash`] by program text, bounded to [`MEMO_CAP`] texts.
@@ -179,20 +195,16 @@ struct Shared {
     next_id: AtomicU64,
     round_robin: AtomicUsize,
     cooldown: Duration,
-    counters: Mutex<Counters>,
+    counters: Counters,
     route_memo: RouteMemo,
 }
 
 // Lock order: no thread holds a `slot` lock and an `inflight` lock at once.
 // A sender clones the slot's `Conn` and releases the slot before touching
 // its table; a dying connection's reader clears the slot before taking its
-// table.  `counters` and `route_memo` are leaves: taken last, never held
-// across another acquisition.
+// table.  `route_memo` is a leaf: taken last, never held across another
+// acquisition.
 impl Shared {
-    fn counters(&self) -> MutexGuard<'_, Counters> {
-        lock(&self.counters)
-    }
-
     fn slot(&self, shard: usize) -> MutexGuard<'_, Slot> {
         lock(&self.backends[shard].slot)
     }
@@ -230,10 +242,10 @@ impl Router {
                 next_id: AtomicU64::new(1),
                 round_robin: AtomicUsize::new(0),
                 cooldown: config.reconnect_cooldown,
-                counters: Mutex::new(Counters {
-                    shards: vec![ShardCounters::default(); shards],
+                counters: Counters {
+                    shards: (0..shards).map(|_| ShardCounters::default()).collect(),
                     ..Counters::default()
-                }),
+                },
                 route_memo: RouteMemo::new(),
             }),
         })
@@ -330,11 +342,11 @@ fn forwarded_line(line: &str, router_id: u64) -> String {
 /// Route one frame: answer `stats`, over-long lines and malformed input
 /// locally, reject admin verbs, forward everything else to a shard.
 fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shared>) {
-    shared.counters().requests += 1;
+    add(&shared.counters.requests, 1);
     let line = match frame {
         Frame::Line(line) => line,
         Frame::TooLong { resynced } => {
-            shared.counters().bad_request += 1;
+            add(&shared.counters.bad_request, 1);
             let _ = reply.send(line_too_long_response(resynced).render());
             return;
         }
@@ -342,7 +354,7 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
     let value = match json::parse(line) {
         Ok(value) => value,
         Err(e) => {
-            shared.counters().invalid_json += 1;
+            add(&shared.counters.invalid_json, 1);
             let _ = reply.send(
                 error_response(&None, &WireError::new("invalid_json", e.to_string())).render(),
             );
@@ -351,7 +363,7 @@ fn route_frame(frame: Frame<'_>, reply: &mpsc::Sender<String>, shared: &Arc<Shar
     };
     let id = crate::protocol::request_id(&value);
     let reject = |message: String| {
-        shared.counters().bad_request += 1;
+        add(&shared.counters.bad_request, 1);
         let _ = reply.send(error_response(&id, &WireError::bad_request(message)).render());
     };
     let Some(op) = value.get("op").and_then(Value::as_str) else {
@@ -410,7 +422,7 @@ fn dispatch(shared: &Arc<Shared>, router_id: u64, start: usize, mut pending: Pen
         let shard = (start + offset) % shards;
         match send_on_shard(shared, shard, router_id, pending) {
             Ok(()) => {
-                shared.counters().shards[shard].forwarded += 1;
+                add(&shared.counters.shards[shard].forwarded, 1);
                 return;
             }
             Err(entry) => pending = entry,
@@ -420,7 +432,7 @@ fn dispatch(shared: &Arc<Shared>, router_id: u64, start: usize, mut pending: Pen
 }
 
 fn answer_unavailable(shared: &Arc<Shared>, pending: &Pending) {
-    shared.counters().unavailable += 1;
+    add(&shared.counters.unavailable, 1);
     let _ = pending.client.send(
         error_response(
             &json::parse(&pending.client_id).ok(),
@@ -476,8 +488,9 @@ fn send_on_shard(
 }
 
 /// Connect a backend slot and spawn the connection's writer, which runs
-/// [`write_loop`] and shuts the socket down if a write fails, and its
-/// reader.  Caller holds the slot lock.
+/// [`write_loop`] and shuts the socket down if a write fails or moves no
+/// bytes for [`BACKEND_WRITE_TIMEOUT`], and its reader.  Caller holds the
+/// slot lock.
 fn connect_backend(shared: &Arc<Shared>, shard: usize, slot: &mut Slot) -> Option<Arc<Conn>> {
     if let Some(last) = slot.last_attempt {
         if last.elapsed() < shared.cooldown {
@@ -488,6 +501,9 @@ fn connect_backend(shared: &Arc<Shared>, shard: usize, slot: &mut Slot) -> Optio
     let stream = TcpStream::connect(&shared.backends[shard].addr).ok()?;
     let _ = stream.set_nodelay(true);
     let write_half = stream.try_clone().ok()?;
+    write_half
+        .set_write_timeout(Some(BACKEND_WRITE_TIMEOUT))
+        .ok()?;
     let (lines, queue) = mpsc::sync_channel(QUEUE_CAP);
     let conn = Arc::new(Conn {
         shard,
@@ -562,21 +578,18 @@ fn backend_read_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) 
         else {
             continue;
         };
-        let busy = is_busy(tail);
-        {
-            let mut counters = shared.counters();
-            counters.shards[shard].replies += 1;
-            if busy {
-                // Forwarded verbatim — the client must see `busy` (backend
-                // queue pressure) as distinct from `shard_unavailable`
-                // (fleet degradation).
-                counters.shards[shard].busy += 1;
-            }
+        let counters = &shared.counters.shards[shard];
+        add(&counters.replies, 1);
+        if is_busy(tail) {
+            // Forwarded verbatim — the client must see `busy` (backend
+            // queue pressure) as distinct from `shard_unavailable` (fleet
+            // degradation).
+            add(&counters.busy, 1);
         }
         let _ = pending.client.send(splice_id(&pending.client_id, tail));
     }
     let _ = reader.get_ref().shutdown(Shutdown::Both);
-    shared.counters().shards[shard].disconnects += 1;
+    add(&shared.counters.shards[shard].disconnects, 1);
     {
         let mut slot = shared.slot(shard);
         if matches!(&slot.conn, Some(live) if Arc::ptr_eq(live, conn)) {
@@ -587,7 +600,10 @@ fn backend_read_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) 
     if orphans.is_empty() {
         return;
     }
-    shared.counters().shards[shard].requeued += orphans.len() as u64;
+    add(
+        &shared.counters.shards[shard].requeued,
+        orphans.len() as u64,
+    );
     // Re-dispatch starts at the next shard on the ring (the dead one would
     // only cost a cooldown probe).
     let next = (shard + 1) % shared.backends.len();
@@ -607,7 +623,8 @@ fn stats_json(shared: &Arc<Shared>) -> Value {
         .flatten()
         .map(|conn| lock(&conn.inflight).as_ref().map_or(0, HashMap::len))
         .sum();
-    let counters = shared.counters();
+    let counters = &shared.counters;
+    let num = |counter: &AtomicU64| Value::num(counter.load(Ordering::Relaxed) as f64);
     let shards: Vec<Value> = counters
         .shards
         .iter()
@@ -616,11 +633,11 @@ fn stats_json(shared: &Arc<Shared>) -> Value {
             obj(vec![
                 ("addr", Value::str(shared.backends[i].addr.clone())),
                 ("alive", Value::Bool(conns[i].is_some())),
-                ("forwarded", Value::num(s.forwarded as f64)),
-                ("replies", Value::num(s.replies as f64)),
-                ("busy", Value::num(s.busy as f64)),
-                ("requeued", Value::num(s.requeued as f64)),
-                ("disconnects", Value::num(s.disconnects as f64)),
+                ("forwarded", num(&s.forwarded)),
+                ("replies", num(&s.replies)),
+                ("busy", num(&s.busy)),
+                ("requeued", num(&s.requeued)),
+                ("disconnects", num(&s.disconnects)),
             ])
         })
         .collect();
@@ -628,10 +645,10 @@ fn stats_json(shared: &Arc<Shared>) -> Value {
         (
             "router",
             obj(vec![
-                ("requests", Value::num(counters.requests as f64)),
-                ("invalid_json", Value::num(counters.invalid_json as f64)),
-                ("bad_request", Value::num(counters.bad_request as f64)),
-                ("shard_unavailable", Value::num(counters.unavailable as f64)),
+                ("requests", num(&counters.requests)),
+                ("invalid_json", num(&counters.invalid_json)),
+                ("bad_request", num(&counters.bad_request)),
+                ("shard_unavailable", num(&counters.unavailable)),
                 ("inflight", Value::num(inflight as f64)),
             ]),
         ),
@@ -1012,6 +1029,84 @@ mod tests {
         assert_eq!(counter(0, "replies"), Some(0));
         assert_eq!(counter(1, "forwarded"), Some(N as u64));
         assert_eq!(counter(1, "replies"), Some(N as u64));
+    }
+
+    /// A stalled shard is declared dead: shard A accepts and never reads,
+    /// so the router's writes to it block until the write timeout fails
+    /// one, and the requests routed to A are requeued to shard B, an
+    /// in-process server — each answered once.
+    #[test]
+    fn a_stalled_shard_is_declared_dead_and_its_requests_answered_once() {
+        const N: usize = 400;
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stalled_addr = stalled.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            // Hold every accepted connection open, never reading from it.
+            let held: Vec<_> = stalled.incoming().collect();
+            drop(held);
+        });
+        let server =
+            crate::server::Server::bind("127.0.0.1:0", crate::server::ServerConfig::default())
+                .unwrap();
+        let live = server.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let _ = server.run();
+        });
+        // A long cooldown: once dead, A is not connected again in this test.
+        let config = RouterConfig {
+            backends: vec![stalled_addr, live],
+            reconnect_cooldown: Duration::from_secs(600),
+        };
+        let router = Router::bind("127.0.0.1:0", config).unwrap();
+        let addr = router.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let _ = router.run();
+        });
+        let program = (0..)
+            .map(|i| format!("p(X) :- e{i}(X, X)."))
+            // A program that routes to A, shard 0 of 2.
+            .find(|program| route_hash(program).is_multiple_of(2))
+            .unwrap();
+        let pad = "x".repeat(100 * 1024);
+        let burst: String = (0..N)
+            .map(|id| {
+                let line = obj(vec![
+                    ("id", Value::num(id as f64)),
+                    ("op", Value::str("bounded")),
+                    ("program", Value::str(program.as_str())),
+                    ("goal", Value::str("p")),
+                    ("max_depth", Value::num(2.0)),
+                    ("pad", Value::str(pad.as_str())),
+                ]);
+                line.render() + "\n"
+            })
+            .collect();
+        let mut client = crate::client::Client::connect(addr).unwrap();
+        // A write call that moves any bytes returns them instead of failing,
+        // and a stalled loopback peer still takes bytes in a few late steps:
+        // the writer failed 15 s after the burst in this test.
+        let limit = 6 * BACKEND_WRITE_TIMEOUT;
+        client.set_read_timeout(Some(limit)).unwrap();
+        let mut pipelined = client.writer_clone().unwrap();
+        let start = Instant::now();
+        // Written from a side thread: the router stops reading this client
+        // while A's queue is full.
+        std::thread::spawn(move || pipelined.write_all(burst.as_bytes()));
+        let mut answered = [false; N];
+        for _ in 0..N {
+            let response = client.recv().unwrap();
+            assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+            let id = response.get("id").and_then(Value::as_u64).unwrap() as usize;
+            assert!(!std::mem::replace(&mut answered[id], true), "id {id} twice");
+        }
+        assert!(start.elapsed() < limit);
+        let stats = client.request(&crate::protocol::stats_request()).unwrap();
+        let shards = stats.get("result").unwrap().get("shards").unwrap();
+        let a = &shards.as_arr().unwrap()[0];
+        let counter = |name: &str| a.get(name).and_then(Value::as_u64).unwrap();
+        assert!(counter("requeued") >= 1, "{}", a.render());
+        assert!(counter("disconnects") >= 1, "{}", a.render());
+        assert_eq!(a.get("alive").and_then(Value::as_bool), Some(false));
     }
 
     #[test]

@@ -14,14 +14,16 @@
 //! `nonrec-route` runs for its client connections too):
 //!
 //! * the **reader** (the connection thread) drains every complete request
-//!   line per wakeup.  Invalid JSON and malformed requests are answered
-//!   without spending a queue slot; `stats`, `metrics_text` and the admin
-//!   verbs execute right here, **in stream order relative to each
-//!   other**, so an operator's `save_cache` after `cache_limits` happens
-//!   in the order written even while decisions are in flight; everything
-//!   else is submitted to the bounded pool without waiting for the reply
-//!   (a full queue still answers `busy` immediately — backpressure is
-//!   unchanged);
+//!   line per wakeup, in place in its read buffer; a line that spans
+//!   refills builds up in one reused buffer, capped at [`MAX_LINE_BYTES`]
+//!   in the one loop that frames every line.  Invalid JSON and malformed
+//!   requests are answered without spending a queue slot; `stats`,
+//!   `metrics_text` and the admin verbs execute right here, **in stream
+//!   order relative to each other**, so an operator's `save_cache` after
+//!   `cache_limits` happens in the order written even while decisions are
+//!   in flight; everything else is submitted to the bounded pool without
+//!   waiting for the reply (a full queue still answers `busy` immediately
+//!   — backpressure is unchanged);
 //! * the **writer** (a scoped thread) receives completed responses from
 //!   the reader and from the pool workers, in completion order, and
 //!   coalesces every response ready at a wakeup into one buffered
@@ -228,50 +230,9 @@ impl Drop for ConnGuard {
 /// the bounded-queue backpressure story.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
 
-enum LineRead {
-    Line(String),
-    /// The line exceeded the cap, but its `\n` terminator was found and
-    /// consumed — the stream is back in sync, so the caller answers
-    /// `bad_request` and keeps reading.
-    TooLongResynced,
-    /// The cap was exceeded with no terminator in sight.  The only way to
-    /// resynchronise would be to buffer (what we refuse to) or to scan an
-    /// attacker-controlled amount of input; the caller must close.
-    TooLongAbandoned,
-    Eof,
-}
-
-/// Read one `\n`-terminated line, giving up once it exceeds `max` bytes.
-/// [`LineRead::TooLongResynced`] vs [`LineRead::TooLongAbandoned`] tells
-/// the caller whether the connection is still usable.
-fn read_line_limited(reader: &mut impl BufRead, max: usize) -> std::io::Result<LineRead> {
-    let mut buf = Vec::new();
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-            buf.extend_from_slice(&chunk[..pos]);
-            reader.consume(pos + 1);
-            return Ok(if buf.len() > max {
-                LineRead::TooLongResynced
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        buf.extend_from_slice(chunk);
-        let consumed = chunk.len();
-        reader.consume(consumed);
-        if buf.len() > max {
-            return Ok(LineRead::TooLongAbandoned);
-        }
-    }
-}
+/// A TCP connection's read buffer, and the most a connection's line buffer
+/// keeps between lines.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// One frame of a connection's request stream, as [`serve_pipelined`]
 /// hands it to the protocol served on that connection (the server's
@@ -335,65 +296,72 @@ pub(crate) fn write_loop<T: AsRef<str>>(
 
 /// The per-connection reader: split the stream into [`Frame`]s and hand
 /// each to `handle` in stream order, with the sender its answers go to.
-/// Returns at EOF, after an abandoned over-long line, or once the writer
-/// has died.
+/// A line complete in the reader's buffer is handed over in place; a line
+/// that spans refills builds up in one reused buffer, and is abandoned once
+/// that passes [`MAX_LINE_BYTES`] with no terminator.  Returns at EOF (an
+/// unterminated tail is a last line), after an abandoned line, or once the
+/// writer has died.
 fn read_loop(
     reader: &mut impl BufRead,
     reply: &mpsc::Sender<String>,
     writer_alive: &AtomicBool,
     handle: &mut impl FnMut(Frame<'_>, &mpsc::Sender<String>),
 ) -> std::io::Result<()> {
+    let mut partial = Vec::new();
     loop {
         if !writer_alive.load(Ordering::Relaxed) {
             return Ok(());
         }
-        // Fast path: hand over every complete line already sitting in the
-        // reader's buffer as a borrowed slice — no per-line allocation, no
-        // copy.  This is the drain that makes a deep pipelined burst cheap:
-        // one `fill_buf` wakeup hands us dozens of requests.
-        let mut consumed = 0;
-        {
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                return Ok(());
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            if !partial.is_empty() {
+                hand_over(&partial, reply, handle);
             }
-            while let Some(pos) = chunk[consumed..].iter().position(|&b| b == b'\n') {
-                let line_bytes = &chunk[consumed..consumed + pos];
-                consumed += pos + 1;
-                // A complete in-buffer line can still breach the cap when
-                // the buffer is larger than the limit; the connection stays
-                // usable either way (the terminator was seen).
-                if line_bytes.len() > MAX_LINE_BYTES {
-                    handle(Frame::TooLong { resynced: true }, reply);
-                    continue;
-                }
-                match std::str::from_utf8(line_bytes) {
-                    Ok(line) if line.trim().is_empty() => {}
-                    Ok(line) => handle(Frame::Line(line), reply),
-                    // Invalid UTF-8 takes the copying route and fails JSON
-                    // parsing with the same `invalid_json` answer a lossy
-                    // read would have produced.
-                    Err(_) => handle(Frame::Line(&String::from_utf8_lossy(line_bytes)), reply),
-                }
+            return Ok(());
+        }
+        let mut rest = chunk;
+        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
+            if partial.is_empty() {
+                hand_over(&rest[..pos], reply, handle);
+            } else {
+                partial.extend_from_slice(&rest[..pos]);
+                hand_over(&partial, reply, handle);
+                partial.clear();
+                // A 4 MiB line costs its connection 4 MiB only while it is
+                // being read.
+                partial.shrink_to(READ_BUF_BYTES);
             }
+            rest = &rest[pos + 1..];
         }
-        if consumed > 0 {
-            reader.consume(consumed);
-            continue;
+        partial.extend_from_slice(rest);
+        let read = chunk.len();
+        reader.consume(read);
+        if partial.len() > MAX_LINE_BYTES {
+            // Resynchronising would mean buffering or scanning an amount of
+            // input the client controls: answer once and close.
+            handle(Frame::TooLong { resynced: false }, reply);
+            return Ok(());
         }
-        // No complete line in the buffer: fall back to the accumulating
-        // reader, which handles lines spanning buffer refills and enforces
-        // the length cap while a terminator is still outstanding.
-        match read_line_limited(reader, MAX_LINE_BYTES)? {
-            LineRead::Eof => return Ok(()),
-            LineRead::TooLongResynced => handle(Frame::TooLong { resynced: true }, reply),
-            LineRead::TooLongAbandoned => {
-                handle(Frame::TooLong { resynced: false }, reply);
-                return Ok(());
-            }
-            LineRead::Line(line) if line.trim().is_empty() => {}
-            LineRead::Line(line) => handle(Frame::Line(&line), reply),
-        }
+    }
+}
+
+/// Hand one line, without its `\n`, to `handle`: a line over the cap as
+/// `TooLong { resynced: true }` (its terminator was seen, so the connection
+/// stays usable), a blank line not at all.  Invalid UTF-8 is copied lossily
+/// and fails JSON parsing as `invalid_json`.
+fn hand_over(
+    line: &[u8],
+    reply: &mpsc::Sender<String>,
+    handle: &mut impl FnMut(Frame<'_>, &mpsc::Sender<String>),
+) {
+    if line.len() > MAX_LINE_BYTES {
+        handle(Frame::TooLong { resynced: true }, reply);
+        return;
+    }
+    match std::str::from_utf8(line) {
+        Ok(line) if line.trim().is_empty() => {}
+        Ok(line) => handle(Frame::Line(line), reply),
+        Err(_) => handle(Frame::Line(&String::from_utf8_lossy(line)), reply),
     }
 }
 
@@ -437,8 +405,8 @@ pub(crate) fn serve_connection(
     handle: impl FnMut(Frame<'_>, &mpsc::Sender<String>),
 ) -> std::io::Result<()> {
     // A large read buffer means one `fill_buf` wakeup drains a deep
-    // pipelined burst in one pass of the zero-copy fast path.
-    let mut reader = BufReader::with_capacity(64 * 1024, stream.try_clone()?);
+    // pipelined burst, each line handed over in place.
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream.try_clone()?);
     serve_pipelined(&mut reader, stream, handle)
 }
 
@@ -705,40 +673,99 @@ mod tests {
         );
     }
 
+    /// A [`Frame`] as the tests record it.
+    #[derive(Debug, PartialEq)]
+    enum Framed {
+        Line(String),
+        TooLong { resynced: bool },
+    }
+
+    /// The frames [`read_loop`] hands over for `input` read through a
+    /// `BufReader` of `capacity` bytes.
+    fn frames(input: &[u8], capacity: usize) -> Vec<Framed> {
+        let mut reader = BufReader::with_capacity(capacity, input);
+        let (reply, _responses) = mpsc::channel();
+        let mut out = Vec::new();
+        read_loop(
+            &mut reader,
+            &reply,
+            &AtomicBool::new(true),
+            &mut |frame, _| {
+                out.push(match frame {
+                    Frame::Line(line) => Framed::Line(line.to_string()),
+                    Frame::TooLong { resynced } => Framed::TooLong { resynced },
+                });
+            },
+        )
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn every_buffer_capacity_frames_a_stream_alike() {
+        let input: &[u8] =
+            b"{\"op\":\"stats\"}\n\n   \n\t \r\n{\"id\":1}\r\nbad \xff\xfe\n{\"tail\":true}";
+        let expected = vec![
+            Framed::Line(r#"{"op":"stats"}"#.to_string()),
+            Framed::Line("{\"id\":1}\r".to_string()),
+            Framed::Line("bad \u{fffd}\u{fffd}".to_string()),
+            Framed::Line(r#"{"tail":true}"#.to_string()),
+        ];
+        for capacity in 1..=input.len() {
+            assert_eq!(frames(input, capacity), expected, "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn random_streams_frame_as_a_split_on_newlines() {
+        use rng::rngs::StdRng;
+        use rng::{Rng, SeedableRng};
+        const ALPHABET: &[u8] = b"ab{}\" \t\r\n\n\n\xff\xc3\xa9";
+        let mut rng = StdRng::seed_from_u64(601);
+        for _ in 0..2_000 {
+            let len = rng.random_range(0..200usize);
+            let input: Vec<u8> = (0..len)
+                .map(|_| ALPHABET[rng.random_range(0..ALPHABET.len())])
+                .collect();
+            let expected: Vec<Framed> = input
+                .split(|&b| b == b'\n')
+                .map(String::from_utf8_lossy)
+                .filter(|line| !line.trim().is_empty())
+                .map(|line| Framed::Line(line.into_owned()))
+                .collect();
+            let capacity = rng.random_range(1..=len + 1);
+            assert_eq!(
+                frames(&input, capacity),
+                expected,
+                "capacity {capacity}, input {input:?}"
+            );
+        }
+    }
+
     #[test]
     fn oversized_lines_distinguish_resynced_from_abandoned() {
-        use std::io::Cursor;
-        // Terminator found: the oversized line is discarded but the stream
-        // is back in sync — the next line reads normally.
-        let mut reader = Cursor::new([&[b'a'; 64][..], b"\nshort\n"].concat());
-        assert!(matches!(
-            read_line_limited(&mut reader, 16).unwrap(),
-            LineRead::TooLongResynced
-        ));
-        assert!(matches!(
-            read_line_limited(&mut reader, 16).unwrap(),
-            LineRead::Line(line) if line == "short"
-        ));
-        // No terminator before the cap: abandoned mid-stream.
-        let mut reader = Cursor::new(vec![b'a'; 64]);
-        assert!(matches!(
-            read_line_limited(&mut reader, 16).unwrap(),
-            LineRead::TooLongAbandoned
-        ));
-        // Within the limit, lines and EOF behave normally.
-        let mut reader = Cursor::new(b"one\ntwo".to_vec());
-        assert!(matches!(
-            read_line_limited(&mut reader, 16).unwrap(),
-            LineRead::Line(line) if line == "one"
-        ));
-        assert!(matches!(
-            read_line_limited(&mut reader, 16).unwrap(),
-            LineRead::Line(line) if line == "two"
-        ));
-        assert!(matches!(
-            read_line_limited(&mut reader, 16).unwrap(),
-            LineRead::Eof
-        ));
+        let mut resynced = vec![b'x'; MAX_LINE_BYTES + 1];
+        resynced.extend_from_slice(b"\nshort\n");
+        // No terminator within twice the cap: nothing after it is read.
+        let mut abandoned = vec![b'x'; 2 * MAX_LINE_BYTES + 1];
+        abandoned.extend_from_slice(b"\nshort\n");
+        for capacity in [7, READ_BUF_BYTES, 2 * MAX_LINE_BYTES] {
+            // Terminator found: the oversized line is discarded but the
+            // stream is back in sync, so the next line reads normally.
+            assert_eq!(
+                frames(&resynced, capacity),
+                [
+                    Framed::TooLong { resynced: true },
+                    Framed::Line("short".to_string())
+                ],
+                "capacity {capacity}"
+            );
+            assert_eq!(
+                frames(&abandoned, capacity),
+                [Framed::TooLong { resynced: false }],
+                "capacity {capacity}"
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,8 @@
 #                  `perfbench/run.sh` smoke run per workload (`cold_mix`,
 #                  `warm_zipf`, `warm_routed`) against the served
 #                  binaries, each of which must print `"correct": true`
+#                  and `"failed": 0` (a run that answers rightly but drops
+#                  or errors on some requests fails here too)
 #     test         cargo test -q
 #     soak         NONREC_SOAK_FAST=1 cargo test --release --test server_soak
 #                  (bounded-cache server under 4-client eviction churn:
@@ -95,6 +97,7 @@ stage_perfbench() {
         out=$(bash perfbench/run.sh --workload "$workload" --seed 601 --seconds 5 --trace 0) || return 1
         echo "$out"
         grep -q '"correct": true' <<<"$out" || return 1
+        grep -q '"failed": 0,' <<<"$out" || return 1
     done
 }
 

@@ -11,6 +11,13 @@
 //!
 //! A second loop gives the same lines hostile leading ids and checks the
 //! server's line memo key (`memo::split_line_id`) against the parse path.
+//!
+//! The same mutator drives the decoders behind a request's fields and the
+//! capture files of record/replay: program texts through `parse_program`,
+//! UCQ texts through `Ucq::parse_checked`, and capture files through
+//! `read_capture`.  Each must fail with a documented code or decode to a
+//! value that round-trips: Display → parse gives an equal program or UCQ,
+//! `write_capture` → `read_capture` gives equal records.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,9 +25,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
 
+use cq::ucq::Ucq;
+use datalog::parser::parse_program;
 use server::json::{self, Value};
 use server::memo::{memo_key, split_line_id};
 use server::protocol::{ok_response, parse_request};
+use server::replay::{read_capture, write_capture, CaptureRecord};
 
 const SEED: u64 = 601;
 const MUTANTS: usize = 80_000;
@@ -239,5 +249,154 @@ fn line_memo_splices_only_ids_the_parse_path_echoes_verbatim() {
     assert!(
         spliced > 0 && declined > 0,
         "spliced {spliced}, declined {declined}"
+    );
+}
+
+/// The program and query texts the corpus lines carry, as bytes.
+fn corpus_texts(corpus: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut texts: Vec<Vec<u8>> = corpus
+        .iter()
+        .flat_map(|line| {
+            let value = json::parse(std::str::from_utf8(line).expect("workload lines are UTF-8"))
+                .expect("workload lines are JSON");
+            ["program", "query", "candidate"]
+                .into_iter()
+                .filter_map(|field| value.get(field).and_then(Value::as_str))
+                .map(|text| text.as_bytes().to_vec())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    texts.sort();
+    texts.dedup();
+    texts
+}
+
+/// Mutants of the corpus texts, each decoded by `decode` under
+/// `catch_unwind`; returns how many decoded.
+fn text_loop(mut decode: impl FnMut(&str) -> bool) -> usize {
+    let texts = corpus_texts(&corpus());
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut decoded = 0;
+    for i in 0..MUTANTS / 8 {
+        let bytes = mutate(&texts[i % texts.len()], &texts, &mut rng);
+        let text = String::from_utf8_lossy(&bytes);
+        let ok = catch_unwind(AssertUnwindSafe(|| decode(&text)))
+            .unwrap_or_else(|_| panic!("decoding mutant {i} panicked: {text:?}"));
+        decoded += usize::from(ok);
+    }
+    decoded
+}
+
+#[test]
+fn mutated_programs_parse_and_round_trip_or_fail_with_parse_error() {
+    let decoded = text_loop(|text| match parse_program(text) {
+        Ok(program) => {
+            let rendered = program.to_string();
+            let again = parse_program(&rendered)
+                .unwrap_or_else(|e| panic!("render of {text:?} does not parse: {rendered:?}: {e}"));
+            assert_eq!(again, program, "text: {text:?}\nrendered: {rendered:?}");
+            true
+        }
+        Err(error) => {
+            assert_eq!(error.code(), "parse_error", "text: {text:?}");
+            false
+        }
+    });
+    assert!(decoded > 0, "no mutant parsed");
+}
+
+#[test]
+fn mutated_ucqs_parse_and_round_trip_or_fail_with_a_query_code() {
+    let mut codes: HashMap<&str, usize> = HashMap::new();
+    let decoded = text_loop(|text| match Ucq::parse_checked(text) {
+        Ok(ucq) => {
+            let rendered = ucq.to_string();
+            let again = Ucq::parse_checked(&rendered)
+                .unwrap_or_else(|e| panic!("render of {text:?} does not parse: {rendered:?}: {e}"));
+            assert_eq!(again, ucq, "text: {text:?}\nrendered: {rendered:?}");
+            true
+        }
+        Err(error) => {
+            let code = error.code();
+            assert!(
+                ["parse_error", "mixed_arity", "empty_query"].contains(&code),
+                "text: {text:?}: {code}"
+            );
+            *codes.entry(code).or_default() += 1;
+            false
+        }
+    });
+    assert!(decoded > 0, "no mutant parsed");
+    assert!(codes.len() == 3, "codes reached: {codes:?}");
+}
+
+/// A capture file as `write_capture` writes it, of the corpus lines.
+fn capture(lines: &[Vec<u8>], first: usize, rng: &mut StdRng) -> Vec<u8> {
+    let records: Vec<CaptureRecord> = (0..rng.random_range(1..=8usize))
+        .map(|k| CaptureRecord {
+            offset_micros: rng.random_range(0..1_000_000u64),
+            line: String::from_utf8(lines[(first + k) % lines.len()].clone())
+                .expect("workload lines are UTF-8"),
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    write_capture(&mut bytes, &records).expect("write to a Vec");
+    bytes
+}
+
+/// Read a capture file: records that round-trip through `write_capture`
+/// give `true`, an `InvalidData` error `false`.
+fn read_and_round_trip(bytes: &[u8]) -> bool {
+    match read_capture(bytes) {
+        Ok(records) => {
+            let mut written = Vec::new();
+            write_capture(&mut written, &records).expect("write to a Vec");
+            let again = read_capture(&written[..])
+                .unwrap_or_else(|e| panic!("the rewrite does not read: {e}: {written:?}"));
+            assert_eq!(again, records, "written as {written:?}");
+            true
+        }
+        Err(error) => {
+            assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
+            false
+        }
+    }
+}
+
+#[test]
+fn mutated_capture_files_read_and_round_trip_or_fail_as_invalid_data() {
+    // A line framed with `\r\n` by its client keeps its `\r`, and a line
+    // may hold tabs.
+    let records = [
+        CaptureRecord {
+            offset_micros: 1,
+            line: "{\"op\":\"stats\"}\r".to_string(),
+        },
+        CaptureRecord {
+            offset_micros: 2,
+            line: "{\"op\":\t\"stats\"}".to_string(),
+        },
+    ];
+    let mut file = Vec::new();
+    write_capture(&mut file, &records).expect("write to a Vec");
+    assert_eq!(read_capture(&file[..]).expect("read"), records);
+
+    let corpus = corpus();
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let (mut decoded, mut rejected) = (0usize, 0usize);
+    for i in 0..MUTANTS / 16 {
+        let file = capture(&corpus, i, &mut rng);
+        let bytes = mutate(&file, &corpus, &mut rng);
+        if catch_unwind(AssertUnwindSafe(|| read_and_round_trip(&bytes)))
+            .unwrap_or_else(|_| panic!("reading mutant {i} panicked: {bytes:?}"))
+        {
+            decoded += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    assert!(
+        decoded > 0 && rejected > 0,
+        "decoded {decoded}, rejected {rejected}"
     );
 }
